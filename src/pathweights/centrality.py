@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import DEFAULT_PATH_CAP, enumerate_paths
+import numpy as np
+
+from .graphs import DEFAULT_PATH_CAP, PathRows, _gather, _lex_order, _walk
 from .model import Measure, Model
-from .weights import _covariance_weight_seq, _endpoint_scale
+from .weights import _delta_vector, _PathKernel
 
 #: Pairs whose total absolute weight falls below this are skipped (0/0 guard).
 DENOMINATOR_TOL = 1e-12
@@ -83,39 +84,48 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     graph = m.graph
-    comp_of: dict[str, int] = {}
-    for i, comp in enumerate(graph.components()):
+    vertices = graph.vertices
+    n = len(vertices)
+    comp_of = [0] * n
+    for c, comp in enumerate(graph.components()):
         for v in comp:
-            comp_of[v] = i
+            comp_of[graph._index[v]] = c
 
-    ratios: dict[str, list[float]] = {v: [] for v in graph.vertices}
+    kernel = _PathKernel(m)
+    d = _delta_vector(m, Measure.INFLATED_CORRELATION)
+    ratios: list[list[float]] = [[] for _ in vertices]
     skipped: list[tuple[str, str]] = []
-    for x, y in combinations(graph.vertices, 2):
-        if comp_of[x] != comp_of[y]:
-            skipped.append((x, y))
-            continue
+    for x in range(n):
+        dist = None
         if mode == "shortest-paths":
-            max_len = graph.bfs_distances(x)[y] + 1
-        else:
-            max_len = None
-        paths = enumerate_paths(graph, x, y, max_len=max_len, cap=cap)
-        if not paths:
-            skipped.append((x, y))
-            continue
-        scale = abs(_endpoint_scale(m, Measure.INFLATED_CORRELATION, x, y))
-        wts = [abs(_covariance_weight_seq(m, p.sequence)) * scale for p in paths]
-        denom = math.fsum(wts)
-        if denom < DENOMINATOR_TOL:
-            skipped.append((x, y))
-            continue
-        through: dict[str, list[float]] = {}
-        for p, w in zip(paths, wts):
-            for v in p.interior:
-                through.setdefault(v, []).append(w)
-        for v, contributions in through.items():
-            ratios[v].append(math.fsum(contributions) / denom)
+            dist = np.full(n, -1)
+            for v, hops in graph.bfs_distances(vertices[x]).items():
+                dist[graph._index[v]] = hops
+        # one walk from x serves every pair (x, y) with y later in vertex order
+        rows = _gather(_walk(graph, x, dist=dist, cap=cap, edge_values=kernel.kappa), (n + 63) // 64)
+        last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
+        order = _lex_order(graph, rows.seqs, last)
+        order = order[last[order] > x]
+        rows, last = PathRows(*(field[order] for field in rows)), last[order]
+        wts = np.abs(kernel(rows, d[x] * d[last]))
+        on_path = np.unpackbits(rows.keys.astype("<u8").view(np.uint8), axis=1,
+                                bitorder="little")[:, :n].astype(bool)
+        bounds = np.searchsorted(last, np.arange(x + 1, n + 1))
+        for y, lo, hi in zip(range(x + 1, n), bounds[:-1].tolist(), bounds[1:].tolist()):
+            if comp_of[x] != comp_of[y] or lo == hi:
+                skipped.append((vertices[x], vertices[y]))
+                continue
+            w = wts[lo:hi]
+            denom = math.fsum(w.tolist())
+            if denom < DENOMINATOR_TOL:
+                skipped.append((vertices[x], vertices[y]))
+                continue
+            through = on_path[lo:hi]
+            through[:, [x, y]] = False
+            for v in np.flatnonzero(through.any(axis=0)).tolist():
+                ratios[v].append(math.fsum(w[through[:, v]].tolist()) / denom)
 
-    raw = {v: math.fsum(ratios[v]) for v in graph.vertices}
+    raw = {v: math.fsum(r) for v, r in zip(vertices, ratios)}
     values = list(raw.values())
     b_min, b_max = (min(values), max(values)) if values else (0.0, 0.0)
     degenerate = not values or b_max == b_min

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import UndefinedShareError
-from .graphs import DEFAULT_PATH_CAP, Path, enumerate_paths
+from .graphs import DEFAULT_PATH_CAP, Path, PathRows, _gather, _lex_order, _pair_paths, _walk
 from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import SymMatrix, chol_det
-from .weights import DEFAULT_ZERO_TOL, _covariance_weight_seq, _endpoint_scale
+from .symmetric import SymMatrix
+from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,16 @@ class PathContribution:
     path: Path
     weight: float
     share: float
+
+    @classmethod
+    def _wrap(cls, path: Path, weight: float, share: float) -> "PathContribution":
+        """Construct without the frozen-dataclass setters; for report building."""
+        c = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(c, "path", path)
+        setattr_(c, "weight", weight)
+        setattr_(c, "share", share)
+        return c
 
 
 @dataclass(frozen=True)
@@ -69,28 +78,6 @@ class DecompositionReport:
                 for e in self.entries
             ],
         }
-
-
-def _conditional_weight(cond: SymMatrix, m: Model, sequence, det_memo: dict) -> float:
-    """Covariance weight of ``sequence`` against a conditional covariance block.
-
-    Block determinants are memoized per call: distinct paths between a pair
-    reuse the same vertex sets far more often than not.
-    """
-    vset = frozenset(sequence)
-    det = det_memo.get(vset)
-    if det is None:
-        idx = [cond._pos[v] for v in vset]
-        ii = np.array(idx, dtype=np.intp)
-        det = chol_det(cond.values[ii[:, None], ii])
-        det_memo[vset] = det
-    sign = 1.0 if len(sequence) % 2 else -1.0
-    prod = 1.0
-    kv = m.kappa.values
-    kpos = m.kappa._pos
-    for u, v in zip(sequence, sequence[1:]):
-        prod *= kv[kpos[u], kpos[v]]
-    return sign * det * prod
 
 
 def _conditional_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
@@ -141,17 +128,15 @@ def decompose(
         raise ValueError("restrict set must contain both endpoints")
 
     src, dst = (x, y) if x <= y else (y, x)
-    paths = enumerate_paths(m.graph, src, dst, restrict=a, cap=cap)
-
+    g = m.graph
     if a is None:
-        cond = m.sigma
-        scale = _conditional_scale(m, kind, cond, src, dst)
-        raw = [_covariance_weight_seq(m, p.sequence) * scale for p in paths]
+        cond, allowed = m.sigma, None
     else:
-        cond = m.sigma.schur_complement(a, m.graph.complement(a))
-        scale = _conditional_scale(m, kind, cond, src, dst)
-        det_memo: dict = {}
-        raw = [_conditional_weight(cond, m, p.sequence, det_memo) * scale for p in paths]
+        cond, allowed = m.sigma.schur_complement(a, g.complement(a)), g._mask(a)
+    kernel = _PathKernel(m, cond)
+    rows = _pair_paths(g, g._index[src], g._index[dst], allowed, cap=cap, edge_values=kernel.kappa)
+    scale = _conditional_scale(m, kind, cond, src, dst)
+    weights = kernel(rows, scale)
 
     if kind is Measure.INFLATED_CORRELATION and a is not None:
         # Entry of the inverse of the restricted (I - partial_corr) block; the
@@ -160,19 +145,19 @@ def decompose(
     else:
         target = cond.entry(src, dst) * scale
 
-    total_abs = math.fsum(abs(w) for w in raw)
-    shares = [abs(w) / total_abs if total_abs > 0.0 else 0.0 for w in raw]
+    magnitudes = np.abs(weights)
+    total_abs = math.fsum(magnitudes.tolist())
+    shares = magnitudes / total_abs if total_abs > 0.0 else np.zeros(len(weights))
+    raw = weights.tolist()
     residual = math.fsum(raw) - target
-    signs = {w > 0.0 for w in raw if abs(w) > zero_tol}
+    signs = set((weights[magnitudes > zero_tol] > 0.0).tolist())
+    wrap = PathContribution._wrap
     return DecompositionReport(
         x=x,
         y=y,
         measure=kind,
         restrict=a,
-        entries=tuple(
-            PathContribution(path=p, weight=w, share=s)
-            for p, w, s in zip(paths, raw, shares)
-        ),
+        entries=tuple(map(wrap, rows.paths(g), raw, shares.tolist())),
         target=target,
         residual=residual,
         same_signed=len(signs) <= 1,
@@ -206,12 +191,23 @@ def rank_paths(
         raise ValueError(
             "cross-pair ranking is only meaningful for the inflated-correlation measure"
         )
-    ranked: list[tuple[Path, float]] = []
-    for src, dst in combinations(m.graph.vertices, 2):
-        src, dst = (src, dst) if src <= dst else (dst, src)
-        scale = _conditional_scale(m, kind, m.sigma, src, dst)
-        for p in enumerate_paths(m.graph, src, dst, max_len=vertex_count, cap=cap):
-            if len(p) == vertex_count:
-                ranked.append((p.canonical(), _covariance_weight_seq(m, p.sequence) * scale))
+    g = m.graph
+    kernel = _PathKernel(m)
+    rank = g._rank
+    found = []
+    for s in range(len(g.vertices)):
+        for seqs, keys, prods in _walk(g, s, max_len=vertex_count, cap=cap, edge_values=kernel.kappa):
+            if seqs.shape[1] == vertex_count:
+                forward = rank[seqs[:, -1]] > rank[s]  # labelled from the smaller endpoint
+                found.append((seqs[forward], keys[forward], prods[forward]))
+    rows = _gather(found, (len(g.vertices) + 63) // 64)
+    del found
+    # weigh in the order of vertex pairs, as ``combinations(vertices, 2)`` lists them
+    ends = rows.seqs[:, [0, -1]]
+    order = _lex_order(g, rows.seqs, ends.min(axis=1), ends.max(axis=1))
+    rows = PathRows(*(field[order] for field in rows))
+    kdiag = np.diagonal(kernel.kappa)
+    scale = np.sqrt(kdiag[rows.seqs[:, 0]] * kdiag[rows.seqs[:, -1]])
+    ranked = list(zip(rows.paths(g), kernel(rows, scale).tolist()))
     ranked.sort(key=lambda item: (-abs(item[1]), item[0].sequence))
     return ranked

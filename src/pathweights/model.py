@@ -12,7 +12,8 @@ matrices are computed once at construction and cached immutably:
   sqrt(diag K) on both sides, equivalently the inverse of (I - partial_corr).
   Its diagonal entries are the per-variable inflation factors and its
   off-diagonal entries are correlations inflated by the geometric mean of the
-  endpoint inflation factors.
+  endpoint inflation factors. Its determinant, the sharp bound on every
+  inflated-correlation path weight, is computed once as well.
 
 Models can be built from an explicit covariance or from edge partial
 correlations alone. The latter fixes diag(K) = 1, which is harmless for every
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import NotAdaptedError, NotPositiveDefiniteError, UnknownVertexError
 from .graphs import Graph
-from .symmetric import SymMatrix
+from .symmetric import SymMatrix, chol_det
 
 #: Default relative tolerance for the adaptedness check.
 DEFAULT_ADAPTED_TOL = 1e-8
@@ -64,14 +65,16 @@ Kind = Measure | CustomScaling
 class Model:
     """Validated pair (graph, covariance) with cached derived matrices.
 
-    Immutable after construction; safe to share across threads. Use the
+    Immutable after construction; safe to share across threads. No analysis
+    writes to a model: state such as the block determinants a decomposition
+    shares between its paths lives in that one call. Use the
     classmethods :meth:`from_sigma` and :meth:`from_partial_correlations`
     rather than the constructor unless you already hold a concentration
     matrix known to be exact (the fitting code does).
     """
 
     __slots__ = ("graph", "sigma", "kappa", "tol", "omega", "partial_corr",
-                 "inflated", "source_kind", "_memo")
+                 "inflated", "_inflated_det", "source_kind")
 
     def __init__(
         self,
@@ -102,22 +105,18 @@ class Model:
         self.partial_corr = SymMatrix(graph.vertices, r)
         self.omega = SymMatrix(graph.vertices, sigma.values / np.outer(ds, ds))
         self.inflated = SymMatrix(graph.vertices, sigma.values * np.outer(dk, dk))
-        # scratch cache for derived scalars (block determinants, scalings);
-        # keyed values are pure functions of this immutable model
-        self._memo: dict = {}
+        self._inflated_det = chol_det(self.inflated.values)
 
     def _check_adapted(self) -> None:
         k = self.kappa.values
         scale = np.sqrt(np.outer(np.diagonal(k), np.diagonal(k)))
-        violations = []
-        labels = self.graph.vertices
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if self.graph.has_edge(labels[i], labels[j]):
-                    continue
-                mag = abs(k[i, j]) / scale[i, j]
-                if mag > self.tol:
-                    violations.append((labels[i], labels[j], mag))
+        g = self.graph
+        adjacent = np.eye(len(g.vertices), dtype=bool)
+        adjacent[np.repeat(np.arange(len(g.vertices)), np.diff(g._indptr)), g._indices] = True
+        mag = np.abs(k) / scale
+        rows, cols = np.nonzero(np.triu(~adjacent & (mag > self.tol)))
+        labels = g.vertices
+        violations = [(labels[i], labels[j], mag[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
         if violations:
             raise NotAdaptedError(violations)
 

@@ -29,6 +29,20 @@ DEFAULT_PIVOT_TOL = 1e-12
 DEFAULT_SYMMETRY_TOL = 1e-12
 
 
+def _closed_form_det(a: np.ndarray):
+    """Exact determinant closed forms for n <= 3, over the last two axes."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return (
+        a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+        - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+        + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
+    )
+
+
 def chol_det(a: np.ndarray) -> float:
     """Determinant of a symmetric matrix, empty-matrix convention det([]) = 1.
 
@@ -39,21 +53,43 @@ def chol_det(a: np.ndarray) -> float:
     n = a.shape[0]
     if n == 0:
         return 1.0
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return float(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
+    if n <= 3:
+        return float(_closed_form_det(a))
     try:
         pivots = np.diagonal(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         return float(np.linalg.det(a))
-    return float(np.prod(pivots) ** 2)
+    return float(np.multiply.reduce(pivots) ** 2)
+
+
+def chol_dets(blocks: np.ndarray) -> list[float]:
+    """:func:`chol_det` of every matrix in a ``(k, n, n)`` stack, bit for bit.
+
+    One stacked Cholesky factors them all. The pivot product is reduced per
+    block left to right, as ``np.multiply.reduce`` reduces the strided
+    diagonal in :func:`chol_det` (a SIMD reduction along a contiguous axis may
+    round differently): by that reduction itself for a few blocks, else column
+    by column across blocks. It is squared as a scalar, as there.
+    """
+    k, n = blocks.shape[:2]
+    if k == 1:
+        return [chol_det(blocks[0])]
+    if n == 0:
+        return [1.0] * k
+    if n <= 3:
+        return _closed_form_det(blocks).tolist()
+    try:
+        factors = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return [chol_det(b) for b in blocks]
+    if k < n:
+        prods = [np.multiply.reduce(np.diagonal(f)) for f in factors]
+    else:
+        pivots = np.diagonal(factors, axis1=1, axis2=2)
+        prods = pivots[:, 0]
+        for j in range(1, n):
+            prods = prods * pivots[:, j]
+    return [float(p ** 2) for p in prods]
 
 
 class SymMatrix:

@@ -29,25 +29,87 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Path, validate_path
+from .graphs import Path, PathRows, validate_path
 from .inflation import inflation_factor
 from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import chol_det
+from .symmetric import SymMatrix, chol_det, chol_dets
 
 #: Weights at or below this magnitude are treated as zero by sign checks.
 DEFAULT_ZERO_TOL = 1e-12
 
 
-# -- internal evaluation ----------------------------------------------------
-#
-# Path-weight workloads (decomposition across measures, betweenness, path
-# rankings) recompute determinants of the same principal blocks over and over:
-# a block determinant depends only on the vertex *set*, and the number of
-# distinct sets is tiny next to the number of (path, measure) evaluations.
-# These helpers memoize such scalars on the model, which is immutable, so a
-# cache entry can never go stale.
+# -- the path-weight kernel -------------------------------------------------
 
-_MEMO_LIMIT = 500_000
+class _PathKernel:
+    """sign * |M_PP| * prod(k_uv) * scale for paths given as :class:`PathRows`.
+
+    ``M`` is the covariance the paths decompose: Sigma, or the conditional
+    covariance of a restriction set. A block determinant depends only on the
+    vertex set, and distinct sets are few next to paths, so one kernel (one
+    per call) evaluates one determinant per distinct set, batched through a
+    stacked Cholesky, and reuses it for every later path on that set. The
+    block is taken in the ``frozenset`` order of the labels of the first path
+    that reaches the set, so rows must arrive in the caller's visiting order:
+    every weight is then bit for bit what evaluating each path in that order
+    gives. Where that direct product is not finite (on long paths |M_PP| can
+    overflow while the edge product underflows) the weight is taken in log
+    space instead.
+    """
+
+    def __init__(self, m: Model, mat: SymMatrix | None = None):
+        mat = m.sigma if mat is None else mat
+        self.values, self.pos, self.labels = mat.values, mat._pos, m.vertices
+        #: concentration matrix in graph vertex order: the walk's edge values
+        self.kappa = m.kappa.reindexed(m.vertices).values
+        self._dets: dict[int | bytes, float] = {}
+
+    def __call__(self, rows: PathRows, scale) -> np.ndarray:
+        keys = rows.keys
+        keys = keys[:, 0] if keys.shape[1] == 1 else np.ascontiguousarray(keys).view(
+            np.dtype((np.void, keys.shape[1] * 8))).ravel()
+        sets, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        sets = sets.tolist()
+        dets = [self._dets.get(k) for k in sets]
+        new = [j for j, det in enumerate(dets) if det is None]
+        by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
+        labels, pos = self.labels, self.pos
+        for j, row, n in zip(new, rows.seqs[first[new]].tolist(), rows.lengths[first[new]].tolist()):
+            js, blocks = by_size.setdefault(n, ([], []))
+            js.append(j)
+            blocks.append([pos[v] for v in frozenset([labels[i] for i in row[:n]])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for js, blocks in by_size.values():
+                idx = np.array(blocks, dtype=np.intp)
+                for j, det in zip(js, chol_dets(self.values[idx[:, :, None], idx[:, None, :]])):
+                    dets[j] = self._dets[sets[j]] = det
+            sign = (rows.lengths & 1) * 2.0 - 1.0
+            out = sign * np.array(dets)[inverse.ravel()] * rows.prods * scale
+        for r in np.flatnonzero(~np.isfinite(out)).tolist():
+            out[r] = self._log_space(rows.seqs[r, :rows.lengths[r]], np.broadcast_to(scale, out.shape)[r])
+        return out
+
+    def single(self, seq: list[int], scale: float) -> float:
+        """The weight of one path given by vertex indices, without batching."""
+        block = np.array([self.pos[v] for v in frozenset([self.labels[i] for i in seq])])
+        det = chol_det(self.values[block[:, None], block])
+        prod = 1.0
+        for u, v in zip(seq, seq[1:]):
+            prod *= self.kappa.item(u, v)
+        out = (1.0 if len(seq) % 2 else -1.0) * det * prod * scale
+        return out if math.isfinite(out) else self._log_space(np.array(seq), scale)
+
+    def _log_space(self, seq: np.ndarray, scale: float) -> float:
+        """One weight as sign * exp(2 sum log L_ii + sum log|k_uv| + log|scale|)."""
+        idx = sorted(self.pos[self.labels[v]] for v in seq)
+        block = self.values[np.ix_(idx, idx)]
+        try:
+            sign, logdet = 1.0, 2.0 * float(np.log(np.diagonal(np.linalg.cholesky(block))).sum())
+        except np.linalg.LinAlgError:
+            sign, logdet = np.linalg.slogdet(block)
+        edges = self.kappa[seq[:-1], seq[1:]]
+        sign *= (1.0 if len(seq) % 2 else -1.0) * np.prod(np.sign(edges)) * np.sign(scale)
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(sign * np.exp(logdet + np.log(np.abs(edges)).sum() + np.log(abs(scale))))
 
 
 def _block_det(values: np.ndarray, pos: dict, labels) -> float:
@@ -55,94 +117,35 @@ def _block_det(values: np.ndarray, pos: dict, labels) -> float:
     return chol_det(values[idx[:, None], idx])
 
 
-def _sigma_block_det(m: Model, vset: frozenset) -> float:
-    memo = m._memo
-    key = ("sigma_det", vset)
-    val = memo.get(key)
-    if val is None:
-        val = _block_det(m.sigma.values, m.sigma._pos, vset)
-        if len(memo) < _MEMO_LIMIT:
-            memo[key] = val
-    return val
-
-
 def _i_minus_r(m: Model) -> np.ndarray:
-    arr = m._memo.get("i_minus_r")
-    if arr is None:
-        arr = np.eye(m.sigma.dim) - m.partial_corr.values
-        arr.flags.writeable = False
-        m._memo["i_minus_r"] = arr
-    return arr
+    return np.eye(m.sigma.dim) - m.partial_corr.values
 
 
-def _imr_block_det(m: Model, vset: frozenset) -> float:
-    memo = m._memo
-    key = ("imr_det", vset)
-    val = memo.get(key)
-    if val is None:
-        val = _block_det(_i_minus_r(m), m.partial_corr._pos, vset)
-        if len(memo) < _MEMO_LIMIT:
-            memo[key] = val
-    return val
-
-
-def _inflated_block_det(m: Model, vset: frozenset) -> float:
-    memo = m._memo
-    key = ("inflated_det", vset)
-    val = memo.get(key)
-    if val is None:
-        val = _block_det(m.inflated.values, m.inflated._pos, vset)
-        if len(memo) < _MEMO_LIMIT:
-            memo[key] = val
-    return val
-
-
-def _inflated_full_det(m: Model) -> float:
-    val = m._memo.get("inflated_full_det")
-    if val is None:
-        val = m.inflated.det()
-        m._memo["inflated_full_det"] = val
-    return val
-
-
-def _covariance_weight_seq(m: Model, sequence: Sequence[str]) -> float:
-    """Covariance weight of an already-validated vertex sequence."""
-    det = _sigma_block_det(m, frozenset(sequence))
-    sign = 1.0 if len(sequence) % 2 else -1.0
-    prod = 1.0
-    kv = m.kappa.values
-    kpos = m.kappa._pos
-    for u, v in zip(sequence, sequence[1:]):
-        prod *= kv[kpos[u], kpos[v]]
-    return sign * det * prod
-
-
-def _delta_vector(m: Model, kind: Kind) -> np.ndarray:
-    """Diagonal of the congruence that turns Sigma into the requested measure."""
+def _delta(m: Model, kind: Kind, i: int) -> float:
+    """Entry i of the diagonal of the congruence that turns Sigma into the
+    requested measure; scalar arithmetic, bit for bit the vector's entry."""
     if isinstance(kind, CustomScaling):
         missing = [v for v in m.vertices if v not in kind.delta]
         if missing:
             raise ValueError(f"custom scaling is missing entries for {missing}")
-        return np.array([float(kind.delta[v]) for v in m.vertices])
-    cached = m._memo.get(kind)
-    if cached is not None:
-        return cached
+        return float(kind.delta[m.vertices[i]])
     if kind is Measure.COVARIANCE:
-        d = np.ones(m.sigma.dim)
-    elif kind is Measure.CORRELATION:
-        d = 1.0 / np.sqrt(m.sigma.diagonal())
-    elif kind is Measure.INFLATED_CORRELATION:
-        d = np.sqrt(m.kappa.diagonal())
-    else:
-        raise TypeError(f"unsupported measure kind: {kind!r}")
-    m._memo[kind] = d
-    return d
+        return 1.0
+    if kind is Measure.CORRELATION:
+        return 1.0 / math.sqrt(m.sigma.values[i, i])
+    if kind is Measure.INFLATED_CORRELATION:
+        return math.sqrt(m.kappa.values[i, i])
+    raise TypeError(f"unsupported measure kind: {kind!r}")
+
+
+def _delta_vector(m: Model, kind: Kind) -> np.ndarray:
+    """Diagonal of the congruence that turns Sigma into the requested measure."""
+    return np.array([_delta(m, kind, i) for i in range(m.sigma.dim)])
 
 
 def _endpoint_scale(m: Model, kind: Kind, x: str, y: str) -> float:
-    d = _delta_vector(m, kind)
     pos = m.sigma._pos
-    return float(d[pos[x]] * d[pos[y]])
+    return _delta(m, kind, pos[x]) * _delta(m, kind, pos[y])
 
 
 def _edge_pcor_product(m: Model, path: Path) -> float:
@@ -174,8 +177,8 @@ def weight(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> float:
     by decomposing the scaled matrix directly.
     """
     validate_path(m.graph, path)
-    base = _covariance_weight_seq(m, path.sequence)
-    return base * _endpoint_scale(m, kind, path.x, path.y)
+    seq = [m.graph._index[v] for v in path.sequence]
+    return _PathKernel(m).single(seq, _endpoint_scale(m, kind, path.x, path.y))
 
 
 def partial_weight(
@@ -286,7 +289,7 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     what makes their agreement a meaningful check.
     """
     validate_path(m.graph, path)
-    det = _inflated_block_det(m, path.vertex_set)
+    det = _block_det(m.inflated.values, m.inflated._pos, path.vertex_set)
     return det * _edge_pcor_product(m, path)
 
 
@@ -295,7 +298,7 @@ def partial_inflated_weight_explicit(m: Model, path: Path) -> float:
     everything off the path: edge partial correlations divided by the
     determinant of the path block of (I - partial_corr)."""
     validate_path(m.graph, path)
-    det = _imr_block_det(m, path.vertex_set)
+    det = _block_det(_i_minus_r(m), m.partial_corr._pos, path.vertex_set)
     return _edge_pcor_product(m, path) / det
 
 
@@ -309,7 +312,7 @@ def normalized_weight(m: Model, path: Path) -> float:
     """
     validate_path(m.graph, path)
     pbar = frozenset(m.vertices) - path.vertex_set
-    det = _imr_block_det(m, pbar)
+    det = _block_det(_i_minus_r(m), m.partial_corr._pos, pbar)
     return det * _edge_pcor_product(m, path)
 
 
@@ -322,15 +325,13 @@ def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tupl
     path in the graph shares the same bounds regardless of its endpoints.
     """
     validate_path(m.graph, path)
-    det_inflated = _inflated_full_det(m)
+    det_inflated = m._inflated_det
     if kind is Measure.INFLATED_CORRELATION:
         return (-det_inflated, det_inflated)
-    d = _delta_vector(m, kind)
-    pos = m.sigma._pos
-    kdiag = m.kappa.diagonal()
+    pos, k = m.sigma._pos, m.kappa.values
     ix, iy = pos[path.x], pos[path.y]
     half = det_inflated * math.sqrt(
-        d[ix] ** 2 / kdiag[ix] * d[iy] ** 2 / kdiag[iy]
+        _delta(m, kind, ix) ** 2 / k[ix, ix] * _delta(m, kind, iy) ** 2 / k[iy, iy]
     )
     return (-half, half)
 

@@ -12,7 +12,9 @@ from pathweights import (
     subset_share,
 )
 
-from conftest import random_model
+from conftest import random_model, vertex_names
+
+DECOMP_TOL = 1e-8  # as in test_acceptance
 
 KINDS = (Measure.COVARIANCE, Measure.CORRELATION, Measure.INFLATED_CORRELATION)
 
@@ -176,3 +178,15 @@ def test_rank_paths_rejects_other_measures(women):
         rank_paths(women, 3, kind=Measure.COVARIANCE)
     with pytest.raises(ValueError):
         rank_paths(women, 1)
+
+
+def test_decompose_across_a_1200_vertex_chain():
+    # the one path has |Sigma_PP| past the float range while its edge product
+    # underflows; the weight is taken in log space instead of inf * 0 = nan
+    names = vertex_names(1200)
+    g = Graph(names, list(zip(names, names[1:])))
+    m = random_model(np.random.default_rng(1200), 1200, 0.0, graph=g)
+    report = decompose(m, names[0], names[-1])
+    assert [len(e.path) for e in report.entries] == [1200]
+    assert np.isfinite(report.entries[0].weight)
+    assert abs(report.residual) <= DECOMP_TOL * max(1.0, abs(report.target))

@@ -149,6 +149,13 @@ def test_cap_raises_path_explosion_deterministically():
     assert first.value.found == second.value.found == 1001
 
 
+def test_enumeration_on_a_1200_vertex_chain():
+    g = chain(1200)
+    (path,) = enumerate_paths(g, "1", "1200")
+    assert path.sequence == g.vertices
+    assert [p.sequence for p in enumerate_paths(g, "1200", "1")] == [g.vertices[::-1]]
+
+
 def test_cap_boundary_exact_fit():
     g = complete_graph(4)
     assert len(enumerate_paths(g, "a", "b", cap=5)) == 5

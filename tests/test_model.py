@@ -39,6 +39,23 @@ def test_from_sigma_rejects_non_adapted():
     assert any(set(v[:2]) == {"1", "3"} for v in err.value.violations)
 
 
+def test_adaptedness_violations_listed_row_major_with_magnitudes():
+    rng = np.random.default_rng(4)
+    m = random_model(rng, 9, 0.6)
+    sparser = Graph(m.vertices, sorted(m.graph.edges)[::2])
+    with pytest.raises(NotAdaptedError) as err:
+        Model.from_sigma(sparser, m.sigma)
+    k = m.kappa.values
+    want = [
+        (u, v, abs(k[i, j]) / np.sqrt(k[i, i] * k[j, j]))
+        for i, u in enumerate(m.vertices)
+        for j, v in enumerate(m.vertices)
+        if i < j and not sparser.has_edge(u, v) and abs(k[i, j]) / np.sqrt(k[i, i] * k[j, j]) > 1e-8
+    ]
+    assert len(want) > 3
+    assert list(err.value.violations) == want
+
+
 def test_from_sigma_rejects_non_pd():
     g = Graph(["1", "2"], [("1", "2")])
     with pytest.raises(NotPositiveDefiniteError):
