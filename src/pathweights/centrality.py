@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DEFAULT_PATH_CAP, PathRows, _gather, _lex_order, _walk
-from .model import Measure, Model
-from .weights import _delta_vector, _PathKernel
+from .model import Model
+from .weights import _PathKernel
 
 #: Pairs whose total absolute weight falls below this are skipped (0/0 guard).
 DENOMINATOR_TOL = 1e-12
@@ -86,13 +86,8 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
     graph = m.graph
     vertices = graph.vertices
     n = len(vertices)
-    comp_of = [0] * n
-    for c, comp in enumerate(graph.components()):
-        for v in comp:
-            comp_of[graph._index[v]] = c
-
     kernel = _PathKernel(m)
-    d = _delta_vector(m, Measure.INFLATED_CORRELATION)
+    d = np.sqrt(np.diagonal(kernel.kappa))  # endpoint scale of the inflated correlation
     ratios: list[list[float]] = [[] for _ in vertices]
     skipped: list[tuple[str, str]] = []
     for x in range(n):
@@ -112,7 +107,7 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
                                 bitorder="little")[:, :n].astype(bool)
         bounds = np.searchsorted(last, np.arange(x + 1, n + 1))
         for y, lo, hi in zip(range(x + 1, n), bounds[:-1].tolist(), bounds[1:].tolist()):
-            if comp_of[x] != comp_of[y] or lo == hi:
+            if lo == hi:  # no path: x and y lie in different components
                 skipped.append((vertices[x], vertices[y]))
                 continue
             w = wts[lo:hi]

@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PathWeightsError,
 )
+from .graphs import DEFAULT_PATH_CAP
 from .model import Measure
 
 _MEASURES = {
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("--measure", choices=sorted(_MEASURES), default="cov")
     p.add_argument("--restrict", help="comma-separated vertex set containing x and y")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_decompose)
 
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--top", type=int)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_rank_paths)
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import UndefinedShareError
 from .graphs import DEFAULT_PATH_CAP, Path, PathRows, _gather, _lex_order, _pair_paths, _walk
-from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import SymMatrix
+from .model import Kind, Measure, Model
 from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
 
@@ -80,26 +79,6 @@ class DecompositionReport:
         }
 
 
-def _conditional_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
-    """Endpoint rescaling for weights computed against ``cond``.
-
-    ``cond`` is the covariance the paths decompose: the full covariance when
-    unrestricted, otherwise the partial covariance of the restriction set.
-    The correlation measure scales by the (conditional) endpoint variances;
-    the inflated-correlation measure scales by the concentration diagonal,
-    which is the same for the conditional and the full model.
-    """
-    if kind is Measure.COVARIANCE:
-        return 1.0
-    if kind is Measure.CORRELATION:
-        return 1.0 / math.sqrt(cond.entry(x, x) * cond.entry(y, y))
-    if kind is Measure.INFLATED_CORRELATION:
-        return math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y))
-    if isinstance(kind, CustomScaling):
-        return _endpoint_scale(m, kind, x, y)
-    raise TypeError(f"unsupported measure kind: {kind!r}")
-
-
 def decompose(
     m: Model,
     x: str,
@@ -135,7 +114,7 @@ def decompose(
         cond, allowed = m.sigma.schur_complement(a, g.complement(a)), g._mask(a)
     kernel = _PathKernel(m, cond)
     rows = _pair_paths(g, g._index[src], g._index[dst], allowed, cap=cap, edge_values=kernel.kappa)
-    scale = _conditional_scale(m, kind, cond, src, dst)
+    scale = _endpoint_scale(m, kind, cond, src, dst)
     weights = kernel(rows, scale)
 
     if kind is Measure.INFLATED_CORRELATION and a is not None:

@@ -169,15 +169,6 @@ class Model:
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices
 
-    def correlation_matrix(self) -> SymMatrix:
-        return self.omega
-
-    def partial_correlation_matrix(self) -> SymMatrix:
-        return self.partial_corr
-
-    def inflated_correlation_matrix(self) -> SymMatrix:
-        return self.inflated
-
     def edge_partial_correlation(self, u: str, v: str) -> float:
         if not self.graph.has_edge(u, v):
             raise ValueError(f"{u!r}--{v!r} is not an edge of the graph")

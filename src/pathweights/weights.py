@@ -121,31 +121,29 @@ def _i_minus_r(m: Model) -> np.ndarray:
     return np.eye(m.sigma.dim) - m.partial_corr.values
 
 
-def _delta(m: Model, kind: Kind, i: int) -> float:
-    """Entry i of the diagonal of the congruence that turns Sigma into the
-    requested measure; scalar arithmetic, bit for bit the vector's entry."""
+def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
+    """Product of the x and y entries of the congruence D that turns covariance
+    weights on ``cond`` into weights of the measure ``kind``.
+
+    ``cond`` is the covariance the paths decompose: Sigma when unrestricted,
+    otherwise the partial covariance of the restriction set. The correlation
+    measure scales by the endpoint variances of ``cond`` (conditional ones
+    under a restriction); the inflated-correlation measure scales by the
+    concentration diagonal, which is the same for the conditional and the
+    full model.
+    """
+    if kind is Measure.COVARIANCE:
+        return 1.0
+    if kind is Measure.CORRELATION:
+        return 1.0 / math.sqrt(cond.entry(x, x) * cond.entry(y, y))
+    if kind is Measure.INFLATED_CORRELATION:
+        return math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y))
     if isinstance(kind, CustomScaling):
         missing = [v for v in m.vertices if v not in kind.delta]
         if missing:
             raise ValueError(f"custom scaling is missing entries for {missing}")
-        return float(kind.delta[m.vertices[i]])
-    if kind is Measure.COVARIANCE:
-        return 1.0
-    if kind is Measure.CORRELATION:
-        return 1.0 / math.sqrt(m.sigma.values[i, i])
-    if kind is Measure.INFLATED_CORRELATION:
-        return math.sqrt(m.kappa.values[i, i])
+        return float(kind.delta[x]) * float(kind.delta[y])
     raise TypeError(f"unsupported measure kind: {kind!r}")
-
-
-def _delta_vector(m: Model, kind: Kind) -> np.ndarray:
-    """Diagonal of the congruence that turns Sigma into the requested measure."""
-    return np.array([_delta(m, kind, i) for i in range(m.sigma.dim)])
-
-
-def _endpoint_scale(m: Model, kind: Kind, x: str, y: str) -> float:
-    pos = m.sigma._pos
-    return _delta(m, kind, pos[x]) * _delta(m, kind, pos[y])
 
 
 def _edge_pcor_product(m: Model, path: Path) -> float:
@@ -178,7 +176,22 @@ def weight(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> float:
     """
     validate_path(m.graph, path)
     seq = [m.graph._index[v] for v in path.sequence]
-    return _PathKernel(m).single(seq, _endpoint_scale(m, kind, path.x, path.y))
+    return _PathKernel(m).single(seq, _endpoint_scale(m, kind, m.sigma, path.x, path.y))
+
+
+def _partial(m: Model, path: Path, a: Iterable[str] | None):
+    """The validated restriction A, its complement, Sigma_{PP.Abar} and the
+    covariance weight of ``path`` on that partial covariance."""
+    validate_path(m.graph, path)
+    a = _restriction(m, path, a)
+    abar = m.graph.complement(a)
+    cond = m.sigma.schur_complement(path.vertex_set, abar)
+    prod = 1.0
+    kv, kpos = m.kappa.values, m.kappa._pos
+    for u, v in zip(path.sequence, path.sequence[1:]):
+        prod *= kv[kpos[u], kpos[v]]
+    sign = 1.0 if len(path.sequence) % 2 else -1.0
+    return a, abar, cond, sign * chol_det(cond.values) * prod
 
 
 def partial_weight(
@@ -196,28 +209,8 @@ def partial_weight(
     conditional variances, matching the correlation matrix of the conditional
     distribution.
     """
-    validate_path(m.graph, path)
-    a = _restriction(m, path, a)
-    abar = m.graph.complement(a)
-    pset = m.graph.require_vertices(path.vertex_set)
-    cond = m.sigma.schur_complement(pset, abar)  # Sigma_{PP.Abar}
-    idx = cond.positions(path.sequence)
-    sign = 1.0 if len(idx) % 2 else -1.0
-    det = chol_det(cond.values)
-    prod = 1.0
-    kv, kpos = m.kappa.values, m.kappa._pos
-    for u, v in zip(path.sequence, path.sequence[1:]):
-        prod *= kv[kpos[u], kpos[v]]
-    base = sign * det * prod
-    if kind is Measure.COVARIANCE:
-        return base
-    if kind is Measure.CORRELATION:
-        return base / math.sqrt(cond.entry(path.x, path.x) * cond.entry(path.y, path.y))
-    if kind is Measure.INFLATED_CORRELATION:
-        return base * math.sqrt(m.kappa.entry(path.x, path.x) * m.kappa.entry(path.y, path.y))
-    if isinstance(kind, CustomScaling):
-        return base * _endpoint_scale(m, kind, path.x, path.y)
-    raise TypeError(f"unsupported measure kind: {kind!r}")
+    _, _, cond, base = _partial(m, path, a)
+    return base * _endpoint_scale(m, kind, cond, path.x, path.y)
 
 
 @dataclass(frozen=True)
@@ -252,27 +245,16 @@ def factorize(
     kind: Kind = Measure.COVARIANCE,
 ) -> WeightBreakdown:
     """Split the weight of ``path`` into partial weight and inflation factor."""
-    validate_path(m.graph, path)
-    a = _restriction(m, path, a)
-    abar = m.graph.complement(a)
-    pset = m.graph.require_vertices(path.vertex_set)
-    w = weight(m, path, kind)
-    pw = partial_weight(m, path, a, kind)
-    infl = inflation_factor(m, pset, abar)
-    if kind is Measure.CORRELATION:
-        endpoint = math.sqrt(
-            inflation_factor(m, [path.x], abar) * inflation_factor(m, [path.y], abar)
-        )
-    else:
-        endpoint = 1.0
+    a, abar, cond, base = _partial(m, path, a)
+    scale = _endpoint_scale(m, kind, cond, path.x, path.y)
     return WeightBreakdown(
         path=path,
         measure=kind,
         restrict=a,
-        weight=w,
-        partial_weight=pw,
-        inflation=infl,
-        endpoint_inflation=endpoint,
+        weight=weight(m, path, kind),
+        partial_weight=base * scale,
+        inflation=inflation_factor(m, path.vertex_set, abar),
+        endpoint_inflation=scale / _endpoint_scale(m, kind, m.sigma, path.x, path.y),
         phi=normalized_weight(m, path),
     )
 
@@ -321,18 +303,14 @@ def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tupl
 
     The half-width is the determinant of the inflated correlation matrix times
     the geometric mean of the endpoints' scaled residual variances. For the
-    inflated-correlation measure the endpoint term is identically 1, so every
+    inflated-correlation measure the endpoint term is exactly 1, so every
     path in the graph shares the same bounds regardless of its endpoints.
     """
     validate_path(m.graph, path)
-    det_inflated = m._inflated_det
-    if kind is Measure.INFLATED_CORRELATION:
-        return (-det_inflated, det_inflated)
-    pos, k = m.sigma._pos, m.kappa.values
-    ix, iy = pos[path.x], pos[path.y]
-    half = det_inflated * math.sqrt(
-        _delta(m, kind, ix) ** 2 / k[ix, ix] * _delta(m, kind, iy) ** 2 / k[iy, iy]
-    )
+    x, y = path.x, path.y
+    scale = _endpoint_scale(m, kind, m.sigma, x, y)
+    # bracketed, the inflated-correlation ratio is exactly 1.0 and its bounds exactly +-det
+    half = m._inflated_det * (abs(scale) / math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y)))
     return (-half, half)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from pathweights import (
     Model,
     Path,
     SymMatrix,
+    decompose,
     edge_measures,
     enumerate_paths,
     factorize,
@@ -124,8 +126,16 @@ def test_inflated_weight_is_weight_of_inflated_matrix():
 
 
 def test_custom_scaling_requires_full_coverage(triangle):
-    with pytest.raises(ValueError):
-        weight(triangle, Path(("1", "2")), CustomScaling({"1": 1.0}))
+    p, partial = Path(("1", "2")), CustomScaling({"1": 1.0, "2": 1.0})
+    for call in (
+        lambda: weight(triangle, p, partial),
+        lambda: partial_weight(triangle, p, kind=partial),
+        lambda: weight_bounds(triangle, p, partial),
+        lambda: factorize(triangle, p, kind=partial),
+        lambda: decompose(triangle, "1", "2", partial),
+    ):
+        with pytest.raises(ValueError, match="missing entries"):
+            call()
 
 
 # -- partial weights --------------------------------------------------------------------
@@ -179,7 +189,7 @@ def test_disconnected_path_block_has_unit_inflation():
     assert fb.weight == pytest.approx(fb.partial_weight, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", [*KINDS, "custom"])
 def test_factorization_identity_random_models(kind):
     rng = np.random.default_rng(109)
     checked = 0
@@ -192,13 +202,19 @@ def test_factorization_identity_random_models(kind):
         # random conditioning set between V(path) and V
         extra = [v for v in m.vertices if v not in p.vertex_set and rng.random() < 0.5]
         a = m.graph.require_vertices(set(extra) | p.vertex_set)
-        fb = factorize(m, p, a, kind)
+        k = kind
+        if kind == "custom":
+            k = CustomScaling(dict(zip(m.vertices, rng.uniform(-2.0, 2.0, size=len(m.vertices)))))
+        fb = factorize(m, p, a, k)
         assert fb.weight == pytest.approx(fb.reconstructed_weight(), rel=1e-9)
+        # only the correlation rescales by endpoint variances that conditioning changes
+        if kind is not Measure.CORRELATION:
+            assert fb.endpoint_inflation == 1.0
         assert fb.inflation >= 1.0 - 1e-12
         # sign equality and magnitude dominance
         if abs(fb.weight) > DEFAULT_ZERO_TOL and abs(fb.partial_weight) > DEFAULT_ZERO_TOL:
             assert math.copysign(1, fb.weight) == math.copysign(1, fb.partial_weight)
-        if kind in (Measure.COVARIANCE, Measure.INFLATED_CORRELATION):
+        if kind is not Measure.CORRELATION:
             assert abs(fb.weight) >= abs(fb.partial_weight) * (1 - 1e-12)
 
 
@@ -394,6 +410,11 @@ def test_bounds_inflated_kind_is_global_determinant(triangle):
     lo, hi = weight_bounds(triangle, Path(("1", "3")), Measure.INFLATED_CORRELATION)
     assert hi == triangle.inflated.det()
     assert lo == -hi
+    m = random_model(np.random.default_rng(124), 7, 0.6)
+    for x, y in itertools.combinations(m.vertices, 2):
+        for p in enumerate_paths(m.graph, x, y):
+            bounds = weight_bounds(m, p, Measure.INFLATED_CORRELATION)
+            assert bounds == (-m._inflated_det, m._inflated_det)
 
 
 def test_bounds_dominate_weights():
