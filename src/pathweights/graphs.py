@@ -132,22 +132,11 @@ class Graph:
 
     def components(self) -> list[tuple[str, ...]]:
         """Connected components as vertex tuples, in graph vertex order."""
-        seen: set[str] = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            out.append(tuple(v for v in self.vertices if v in comp))
-        return out
+        bc = self._blockcut
+        groups: dict[int, list[str]] = {}
+        for i, v in enumerate(self.vertices):
+            groups.setdefault(bc.component[bc.node_of[i]], []).append(v)
+        return [tuple(vs) for vs in groups.values()]
 
     def is_tree(self) -> bool:
         return len(self.components()) == 1 and len(self.edges) == len(self.vertices) - 1

@@ -89,8 +89,7 @@ class Model:
         sigma = sigma.reindexed(graph.vertices)
         if not sigma.is_positive_definite():
             raise NotPositiveDefiniteError("covariance matrix is not positive definite")
-        if kappa is None:
-            kappa = sigma.inverse()
+        kappa = sigma.inverse() if kappa is None else kappa.reindexed(graph.vertices)
         self.graph = graph
         self.sigma = sigma
         self.kappa = kappa

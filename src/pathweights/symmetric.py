@@ -29,17 +29,17 @@ DEFAULT_PIVOT_TOL = 1e-12
 DEFAULT_SYMMETRY_TOL = 1e-12
 
 
-def _closed_form_det(a: np.ndarray):
-    """Exact determinant closed forms for n <= 3, over the last two axes."""
-    n = a.shape[-1]
+def _closed_form_det(e, n: int):
+    """Exact determinant closed forms for n <= 3, from the row-major entries
+    ``e`` of a matrix (floats, or one array per entry across a stack)."""
     if n == 1:
-        return a[..., 0, 0]
+        return e[0]
     if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        return e[0] * e[3] - e[1] * e[2]
     return (
-        a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-        - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-        + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
+        e[0] * (e[4] * e[8] - e[5] * e[7])
+        - e[1] * (e[3] * e[8] - e[5] * e[6])
+        + e[2] * (e[3] * e[7] - e[4] * e[6])
     )
 
 
@@ -50,38 +50,33 @@ def chol_det(a: np.ndarray) -> float:
     Cholesky (product of squared pivots) with an LU fallback for
     symmetric-indefinite input, so the function is total.
     """
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    if n <= 3:
-        return float(_closed_form_det(a))
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(a))
-    except np.linalg.LinAlgError:
-        return float(np.linalg.det(a))
-    return float(np.multiply.reduce(pivots) ** 2)
+    return chol_dets(a[None])[0]
 
 
 def chol_dets(blocks: np.ndarray) -> list[float]:
-    """:func:`chol_det` of every matrix in a ``(k, n, n)`` stack, bit for bit.
+    """:func:`chol_det` of every matrix in a ``(k, n, n)`` stack.
 
-    One stacked Cholesky factors them all. The pivot product is reduced per
-    block left to right, as ``np.multiply.reduce`` reduces the strided
-    diagonal in :func:`chol_det` (a SIMD reduction along a contiguous axis may
-    round differently): by that reduction itself for a few blocks, else column
-    by column across blocks. It is squared as a scalar, as there.
+    One stacked Cholesky factors them all; if a block is not positive
+    definite, each block is taken on its own and the ones Cholesky rejects go
+    to ``np.linalg.det`` (LU). The pivot product of each block is reduced left
+    to right: by ``np.multiply.reduce`` over the strided diagonal for fewer
+    blocks than pivots (a SIMD reduction along a contiguous axis may round
+    differently), else column by column across blocks. It is squared as a
+    scalar. So every block gets the bits it gets alone.
     """
     k, n = blocks.shape[:2]
-    if k == 1:
-        return [chol_det(blocks[0])]
     if n == 0:
         return [1.0] * k
     if n <= 3:
-        return _closed_form_det(blocks).tolist()
+        if k == 1:  # on Python floats: for one block, array calls cost more than the arithmetic
+            return [_closed_form_det(blocks.ravel().tolist(), n)]
+        return _closed_form_det(blocks.reshape(k, n * n).T, n).tolist()
     try:
         factors = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        return [chol_det(b) for b in blocks]
+        if k == 1:
+            return [float(np.linalg.det(blocks[0]))]
+        return [chol_dets(b[None])[0] for b in blocks]
     if k < n:
         prods = [np.multiply.reduce(np.diagonal(f)) for f in factors]
     else:
@@ -191,10 +186,9 @@ class SymMatrix:
         The determinant of the empty-set block is 1 by convention.
         """
         if labels is None:
-            idx = list(range(self.dim))
-        else:
-            idx = self.positions(labels)
-        return chol_det(self.values[np.ix_(idx, idx)])
+            return chol_det(self.values)
+        idx = np.array(self.positions(labels), dtype=np.intp)
+        return chol_det(self.values[idx[:, None], idx])
 
     def inverse(self) -> "SymMatrix":
         """Inverse via Cholesky; raises NotPositiveDefiniteError otherwise."""

@@ -48,19 +48,20 @@ class _PathKernel:
     vertex set, and distinct sets are few next to paths, so one kernel (one
     per call) evaluates one determinant per distinct set, batched through a
     stacked Cholesky, and reuses it for every later path on that set. The
-    block is taken in the ``frozenset`` order of the labels of the first path
-    that reaches the set, so rows must arrive in the caller's visiting order:
-    every weight is then bit for bit what evaluating each path in that order
-    gives. Where that direct product is not finite (on long paths |M_PP| can
-    overflow while the edge product underflows) the weight is taken in log
-    space instead.
+    batched block is taken in the ``frozenset`` order of the labels of the
+    first path that reaches the set, so rows must arrive in the caller's
+    visiting order: every weight is then bit for bit what evaluating each path
+    in that order gives. A single path takes its block in storage order.
+    Where the direct product is not finite (on long paths |M_PP| can overflow
+    while the edge product underflows), or is 0 with no factor 0, the weight
+    is taken in log space instead.
     """
 
     def __init__(self, m: Model, mat: SymMatrix | None = None):
         mat = m.sigma if mat is None else mat
         self.values, self.pos, self.labels = mat.values, mat._pos, m.vertices
         #: concentration matrix in graph vertex order: the walk's edge values
-        self.kappa = m.kappa.reindexed(m.vertices).values
+        self.kappa = m.kappa.values
         self._dets: dict[int | bytes, float] = {}
 
     def __call__(self, rows: PathRows, scale) -> np.ndarray:
@@ -84,36 +85,40 @@ class _PathKernel:
                     dets[j] = self._dets[sets[j]] = det
             sign = (rows.lengths & 1) * 2.0 - 1.0
             out = sign * np.array(dets)[inverse.ravel()] * rows.prods * scale
-        for r in np.flatnonzero(~np.isfinite(out)).tolist():
-            out[r] = self._log_space(rows.seqs[r, :rows.lengths[r]], np.broadcast_to(scale, out.shape)[r])
+        scales = np.broadcast_to(scale, out.shape)
+        for r in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
+            out[r] = self._log_space(rows.seqs[r, :rows.lengths[r]], scales[r], out[r])
         return out
 
     def single(self, seq: list[int], scale: float) -> float:
         """The weight of one path given by vertex indices, without batching."""
-        block = np.array([self.pos[v] for v in frozenset([self.labels[i] for i in seq])])
+        block = np.array(sorted(self.pos[self.labels[i]] for i in seq))
         det = chol_det(self.values[block[:, None], block])
         prod = 1.0
         for u, v in zip(seq, seq[1:]):
             prod *= self.kappa.item(u, v)
         out = (1.0 if len(seq) % 2 else -1.0) * det * prod * scale
-        return out if math.isfinite(out) else self._log_space(np.array(seq), scale)
+        return out if out != 0.0 and math.isfinite(out) else self._log_space(np.array(seq), scale, out)
 
-    def _log_space(self, seq: np.ndarray, scale: float) -> float:
-        """One weight as sign * exp(2 sum log L_ii + sum log|k_uv| + log|scale|)."""
+    def _log_space(self, seq: np.ndarray, scale: float, direct: float) -> float:
+        """One weight as sign * exp(2 sum log L_ii + sum log|k_uv| + log|scale|),
+        for a ``direct`` product that is not finite or is 0."""
+        edges = self.kappa[seq[:-1], seq[1:]]
+        if direct == 0.0 and not (scale and edges.all()):
+            return direct  # a factor is exactly 0, so the direct product is exact
         idx = sorted(self.pos[self.labels[v]] for v in seq)
         block = self.values[np.ix_(idx, idx)]
         try:
             sign, logdet = 1.0, 2.0 * float(np.log(np.diagonal(np.linalg.cholesky(block))).sum())
         except np.linalg.LinAlgError:
             sign, logdet = np.linalg.slogdet(block)
-        edges = self.kappa[seq[:-1], seq[1:]]
         sign *= (1.0 if len(seq) % 2 else -1.0) * np.prod(np.sign(edges)) * np.sign(scale)
         with np.errstate(divide="ignore", over="ignore"):
             return float(sign * np.exp(logdet + np.log(np.abs(edges)).sum() + np.log(abs(scale))))
 
 
 def _block_det(values: np.ndarray, pos: dict, labels) -> float:
-    idx = np.fromiter((pos[v] for v in labels), dtype=np.intp, count=len(labels))
+    idx = np.array(sorted(pos[v] for v in labels), dtype=np.intp)
     return chol_det(values[idx[:, None], idx])
 
 
@@ -180,18 +185,12 @@ def weight(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> float:
 
 
 def _partial(m: Model, path: Path, a: Iterable[str] | None):
-    """The validated restriction A, its complement, Sigma_{PP.Abar} and the
-    covariance weight of ``path`` on that partial covariance."""
+    """The validated restriction A, its complement and Sigma_{PP.Abar}, the
+    covariance the partial weight of ``path`` is taken on."""
     validate_path(m.graph, path)
     a = _restriction(m, path, a)
     abar = m.graph.complement(a)
-    cond = m.sigma.schur_complement(path.vertex_set, abar)
-    prod = 1.0
-    kv, kpos = m.kappa.values, m.kappa._pos
-    for u, v in zip(path.sequence, path.sequence[1:]):
-        prod *= kv[kpos[u], kpos[v]]
-    sign = 1.0 if len(path.sequence) % 2 else -1.0
-    return a, abar, cond, sign * chol_det(cond.values) * prod
+    return a, abar, m.sigma.schur_complement(path.vertex_set, abar)
 
 
 def partial_weight(
@@ -209,8 +208,9 @@ def partial_weight(
     conditional variances, matching the correlation matrix of the conditional
     distribution.
     """
-    _, _, cond, base = _partial(m, path, a)
-    return base * _endpoint_scale(m, kind, cond, path.x, path.y)
+    _, _, cond = _partial(m, path, a)
+    seq = [m.graph._index[v] for v in path.sequence]
+    return _PathKernel(m, cond).single(seq, _endpoint_scale(m, kind, cond, path.x, path.y))
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,19 @@ def factorize(
     kind: Kind = Measure.COVARIANCE,
 ) -> WeightBreakdown:
     """Split the weight of ``path`` into partial weight and inflation factor."""
-    a, abar, cond, base = _partial(m, path, a)
+    a, abar, cond = _partial(m, path, a)
+    seq = [m.graph._index[v] for v in path.sequence]
     scale = _endpoint_scale(m, kind, cond, path.x, path.y)
+    full = _endpoint_scale(m, kind, m.sigma, path.x, path.y)
     return WeightBreakdown(
         path=path,
         measure=kind,
         restrict=a,
-        weight=weight(m, path, kind),
-        partial_weight=base * scale,
-        inflation=inflation_factor(m, path.vertex_set, abar),
-        endpoint_inflation=scale / _endpoint_scale(m, kind, m.sigma, path.x, path.y),
+        weight=_PathKernel(m).single(seq, full),
+        partial_weight=_PathKernel(m, cond).single(seq, scale),
+        # |Sigma_PP| / |Sigma_PP.Abar|, exactly 1 on an empty Abar
+        inflation=m.sigma.det(path.vertex_set) / cond.det() if abar else 1.0,
+        endpoint_inflation=scale / full,
         phi=normalized_weight(m, path),
     )
 
@@ -271,8 +274,7 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     what makes their agreement a meaningful check.
     """
     validate_path(m.graph, path)
-    det = _block_det(m.inflated.values, m.inflated._pos, path.vertex_set)
-    return det * _edge_pcor_product(m, path)
+    return m.inflated.det(path.vertex_set) * _edge_pcor_product(m, path)
 
 
 def partial_inflated_weight_explicit(m: Model, path: Path) -> float:

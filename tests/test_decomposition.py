@@ -6,10 +6,13 @@ from pathweights import (
     Graph,
     Measure,
     Model,
+    Path,
     UndefinedShareError,
     decompose,
+    partial_weight,
     rank_paths,
     subset_share,
+    weight,
 )
 
 from conftest import random_model, vertex_names
@@ -190,3 +193,21 @@ def test_decompose_across_a_1200_vertex_chain():
     assert [len(e.path) for e in report.entries] == [1200]
     assert np.isfinite(report.entries[0].weight)
     assert abs(report.residual) <= DECOMP_TOL * max(1.0, abs(report.target))
+
+
+def test_decompose_a_1200_vertex_chain_of_underflowing_edges():
+    # 0.45 ** 1199 underflows to 0, but the weight, 4.7e-244, does not
+    names = vertex_names(1200)
+    g = Graph(names, list(zip(names, names[1:])))
+    m = Model.from_partial_correlations(g, {e: 0.45 for e in g.edges})
+    report = decompose(m, names[0], names[-1])
+    assert abs(report.residual) <= DECOMP_TOL * abs(report.target)
+    assert weight(m, report.entries[0].path) == report.entries[0].weight
+
+
+def test_a_zero_edge_weighs_exactly_zero():
+    g = Graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    m = Model.from_partial_correlations(g, {("a", "b"): 0.0, ("a", "c"): 0.3, ("b", "c"): 0.4})
+    p = Path(("a", "b", "c"))
+    weights = {e.path: e.weight for e in decompose(m, "a", "c").entries}
+    assert weights[p] == weight(m, p) == partial_weight(m, p) == 0.0

@@ -234,6 +234,10 @@ def test_is_tree():
 def test_components():
     g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     assert g.components() == [("a", "b"), ("c", "d")]
+    # interleaved components, one of two blocks joined at a cut vertex, and an
+    # isolated vertex
+    g = Graph(["a", "b", "c", "d", "e", "f"], [("a", "c"), ("c", "f"), ("b", "e")])
+    assert g.components() == [("a", "c", "f"), ("b", "e"), ("d",)]
 
 
 def test_bfs_distances():

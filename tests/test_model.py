@@ -73,6 +73,15 @@ def test_sigma_reordered_to_graph_order():
     m = Model.from_sigma(g, SymMatrix(["a", "b"], [[2.0, 0.3], [0.3, 1.0]]))
     assert m.sigma.labels == ("b", "a")
     assert m.sigma.entry("a", "a") == 2.0
+    # a supplied concentration matrix is reordered too, and must match the labels
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    ref = Model.from_partial_correlations(g, {("a", "b"): 0.4, ("b", "c"): -0.3})
+    m = Model(g, ref.sigma, kappa=ref.kappa.reindexed(("c", "b", "a")))
+    assert m.kappa.labels == g.vertices
+    assert m.partial_corr.entry("a", "b") == 0.4
+    np.testing.assert_array_equal(m.partial_corr.values, ref.partial_corr.values)
+    with pytest.raises(UnknownVertexError):
+        Model(g, ref.sigma, kappa=SymMatrix(["a", "b", "d"], ref.kappa.values))
 
 
 # -- from_partial_correlations ------------------------------------------------------

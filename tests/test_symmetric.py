@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from pathweights import (
     SymMatrix,
     UnknownVertexError,
 )
+from pathweights.symmetric import chol_det, chol_dets
 
 from conftest import oracle_schur
 
@@ -110,6 +114,17 @@ def test_det_matches_numpy_on_random_submatrices():
 def test_det_indefinite_fallback():
     m = sym([[1.0, 2.0], [2.0, 1.0]])
     assert m.det() == pytest.approx(-3.0)
+    # a stack gives every block the bits it gets alone, with or without an
+    # indefinite block among them, on both sides of each pivot reduction
+    rng = np.random.default_rng(113)
+    for n in range(1, 6):
+        for k in sorted({1, 2, n, n + 1}):
+            stack = np.array([random_spd(rng, n) for _ in range(k)])
+            indefinite = stack.copy()
+            indefinite[-1, 0, 0] *= -1.0
+            for blocks in (stack, indefinite):
+                assert chol_dets(blocks) == [chol_det(b) for b in blocks]
+            assert chol_det(indefinite[-1]) == pytest.approx(np.linalg.det(indefinite[-1]), rel=1e-12)
 
 
 # -- inverse ---------------------------------------------------------------------
@@ -218,3 +233,22 @@ def test_hadamard_sandwich():
         lower = float(np.prod(1.0 / np.diagonal(m.inverse().values)))
         assert lower <= det * (1 + 1e-12)
         assert det <= upper * (1 + 1e-12)
+
+
+# -- dependencies ----------------------------------------------------------------
+
+
+def test_only_symmetric_imports_scipy():
+    # keeps a switch away from scipy a change to one module
+    importers = set()
+    for source in (Path(__file__).resolve().parent.parent / "src" / "pathweights").rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(mod.split(".")[0] == "scipy" for mod in modules):
+                importers.add(source.name)
+    assert importers == {"symmetric.py"}

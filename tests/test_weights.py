@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from conftest import (
     oracle_weight_complement_form,
     random_model,
     random_tree_model,
+    vertex_names,
 )
 
 KINDS = (Measure.COVARIANCE, Measure.CORRELATION, Measure.INFLATED_CORRELATION)
@@ -171,6 +176,22 @@ def test_partial_weight_triangle_pair(triangle):
     p = Path(("1", "3"))
     schur = oracle_schur(triangle.sigma.values, [0, 2], [1])
     assert partial_weight(triangle, p, ["1", "3"]) == pytest.approx(schur[0, 1], rel=1e-12)
+
+
+def test_partial_weight_on_a_1200_vertex_chain():
+    # |Sigma_PP| overflows and the edge product underflows; both the weight
+    # and the partial weight go to log space rather than inf * 0 = nan
+    names = vertex_names(1200)
+    g = Graph(names, list(zip(names, names[1:])))
+    pcor = Model.from_partial_correlations(g, {e: 0.45 for e in g.edges})
+    d = np.random.default_rng(1201).uniform(0.5, 2.0, size=1200)
+    m = Model.from_sigma(g, SymMatrix(names, pcor.sigma.values * np.outer(d, d)))
+    p = Path(tuple(names))
+    assert partial_weight(m, p, m.vertices) == pytest.approx(weight(m, p), rel=1e-12)
+    fb = factorize(m, p)
+    assert all(math.isfinite(v) for v in (fb.weight, fb.partial_weight, fb.inflation,
+                                           fb.endpoint_inflation, fb.phi))
+    assert fb.weight != 0.0 and fb.partial_weight != 0.0
 
 
 def test_partial_weight_needs_path_inside_restriction(triangle):
@@ -470,3 +491,34 @@ def test_edge_measures_women_spot_values(women):
 def test_edge_measures_rejects_non_edges(women):
     with pytest.raises(ValueError):
         edge_measures(women, ("soup", "red_meat"))
+
+
+# -- determinism -----------------------------------------------------------------------------
+
+_SINGLE_PATH_SCRIPT = """
+from pathweights import (Measure, enumerate_paths, inflated_weight_explicit, normalized_weight,
+                         partial_inflated_weight_explicit, partial_weight, weight)
+from pathweights.datasets import women_network
+m = women_network()
+out = []
+for i, x in enumerate(m.vertices):
+    for y in m.vertices[i + 1:]:
+        for p in enumerate_paths(m.graph, x, y, max_len=4):
+            out += [weight(m, p, k) for k in Measure] + [partial_weight(m, p, kind=k) for k in Measure]
+            out += [f(m, p) for f in (inflated_weight_explicit, partial_inflated_weight_explicit,
+                                      normalized_weight)]
+print(repr(out))
+"""
+
+
+def test_single_path_values_do_not_depend_on_the_hash_seed():
+    root = FilePath(__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _SINGLE_PATH_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) > 1000
+    assert outputs[0] == outputs[1]
