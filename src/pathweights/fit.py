@@ -4,9 +4,15 @@ Two independent pieces of data-side machinery:
 
 - :func:`ips_fit` computes the graph-constrained Gaussian maximum-likelihood
   covariance by iterative proportional scaling over the pairwise generating
-  class (edges plus singletons). The fixed point matches the sample moments
-  on every edge and on the diagonal while keeping off-edge concentrations at
-  exactly zero, so the fitted model is adapted by construction.
+  class: the edges, plus a singleton for each isolated vertex (an edge
+  already matches the diagonal entries of its endpoints). It runs in
+  covariance form (Speed & Kiiveri 1986; Lauritzen 1996, ch. 5): each clique
+  step adjusts its block of the concentration matrix and carries the fitted
+  covariance along by a low-rank update, so a sweep costs one p x p inverse,
+  at its end, instead of one per clique. The fixed point matches the sample
+  moments on every edge and on the diagonal while keeping off-edge
+  concentrations at exactly zero, so the fitted model is adapted by
+  construction.
 
 - :func:`mtp2_sign_search` decides whether flipping the signs of some
   variables can make every edge partial correlation nonnegative. Signs are
@@ -22,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NotConvergedError, NotPositiveDefiniteError, UnknownVertexError
+from .errors import NotConvergedError, NotPositiveDefiniteError
 from .graphs import Graph
 from .model import Model
 from .symmetric import SymMatrix
@@ -39,6 +45,17 @@ def ips_fit(
 ) -> Model:
     """Graph-constrained MLE covariance via iterative proportional scaling.
 
+    The cliques are the edges in sorted order, after a singleton for each
+    isolated vertex. A clique step on c adds Delta = S_cc^-1 - Sigma_cc^-1 to
+    K_cc, which makes the fitted Sigma_cc equal S_cc, and updates the fitted
+    covariance by Woodbury in O(|c|^3 + p^2):
+    Sigma -= Sigma_.c Delta (I + Sigma_cc Delta)^-1 Sigma_c., where
+    Delta (I + Sigma_cc Delta)^-1 = Sigma_cc^-1 (Sigma_cc - S_cc) Sigma_cc^-1
+    needs no inverse beyond Sigma_cc^-1. After each sweep K is symmetrized
+    and inverted once, the only p x p inverse of the sweep, so the fitted
+    covariance the residual is taken on, and the next sweep starts from, is
+    inv(K): rounding drift of the updates never carries past one sweep.
+
     Parameters
     ----------
     sample : SymMatrix
@@ -52,9 +69,7 @@ def ips_fit(
     max_iter : int
         Sweep budget; exceeding it raises NotConvergedError with diagnostics.
     """
-    if set(sample.labels) != set(graph.vertices):
-        raise UnknownVertexError(set(sample.labels) ^ set(graph.vertices))
-    sample = sample.submatrix(graph.vertices)
+    sample = sample.reindexed(graph.vertices)
     if not sample.is_positive_definite():
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
     labels = graph.vertices
@@ -62,19 +77,25 @@ def ips_fit(
     p = sample.dim
     s = sample.values
 
-    cliques: list[list[int]] = [[i] for i in range(p)]
-    cliques += [sorted((pos[u], pos[v])) for u, v in graph.sorted_edges()]
+    isolated = [[pos[v]] for v in labels if not graph.neighbors(v)]
+    cliques = []
+    for c in isolated + [sorted((pos[u], pos[v])) for u, v in graph.sorted_edges()]:
+        block = np.ix_(c, c)
+        cliques.append((c, block, s[block], np.linalg.inv(s[block])))
     constrained = np.eye(p, dtype=bool)
     for u, v in graph.edges:
         constrained[pos[u], pos[v]] = constrained[pos[v], pos[u]] = True
 
     k = np.diag(1.0 / np.diagonal(s))
+    fitted = np.diag(np.diagonal(s))
     residual = np.inf
     for _ in range(max_iter):
-        for c in cliques:
-            block = np.ix_(c, c)
-            fitted = np.linalg.inv(k)
-            k[block] += np.linalg.inv(s[block]) - np.linalg.inv(fitted[block])
+        for c, block, s_cc, s_cc_inv in cliques:
+            sigma_cc = fitted[block]
+            sigma_cc_inv = np.linalg.inv(sigma_cc)
+            k[block] += s_cc_inv - sigma_cc_inv
+            cols = fitted[:, c]
+            fitted -= cols @ (sigma_cc_inv @ (sigma_cc - s_cc) @ sigma_cc_inv) @ cols.T
         k = (k + k.T) / 2.0
         fitted = np.linalg.inv(k)
         residual = float(np.abs((fitted - s)[constrained]).max())

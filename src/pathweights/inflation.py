@@ -4,10 +4,14 @@ The inflation factor of a block A on a disjoint block B measures the linear
 association between X_A and X_B as a ratio of generalized variances. It is 1
 exactly when the blocks are uncorrelated, grows without bound as they approach
 collinearity, and equals the classical variance inflation factor when A is a
-single variable and B is everything else. Three equivalent determinant
-formulas exist; the canonical computation here divides |Sigma_AA| by the
-determinant of the partial covariance |Sigma_AA.B| (two small factorizations),
-with the other two forms retained as a diagnostic record for identity testing.
+single variable and B is everything else. Several equivalent determinant
+formulas exist. The canonical computation divides |Sigma_AA| by the
+determinant of the partial covariance |Sigma_AA.B|. When B is the complement
+of A (the default, and every edge measure), |Sigma_AA.B| = 1 / |K_AA|, so the
+factor is |Sigma_AA| |K_AA|: two |A| x |A| determinants and no Schur
+complement. Any other B takes the Schur complement of B. Either route falls
+back to log-determinants where the direct value is not finite or is 0. The
+other forms are kept as a diagnostic record for identity testing.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import Model
+from .symmetric import det_product
 
 
 def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None) -> float:
@@ -31,7 +36,9 @@ def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None)
         raise ValueError(f"blocks must be disjoint; both contain {sorted(set(a) & set(b))}")
     if not a or not b:
         return 1.0
-    return m.sigma.det(a) / m.sigma.schur_complement(a, b).det()
+    if len(a) + len(b) == m.sigma.dim:  # B is the complement: |Sigma_AA.B| = 1 / |K_AA|
+        return det_product(((m.sigma, a, 1), (m.kappa, a, 1)))
+    return det_product(((m.sigma, a, 1), (m.sigma.schur_complement(a, b), None, -1)))
 
 
 @dataclass(frozen=True)
@@ -102,8 +109,9 @@ def global_collinearity(
     default singleton partition this equals 1 / |Omega|.
 
     ``kind="partial-variance"`` scales |Sigma| by its lower bound, the product
-    of block partial variances: |Sigma| / prod |S_BB.rest|. With singletons
-    this equals the determinant of the inflated correlation matrix.
+    of block partial variances: |Sigma| / prod |S_BB.rest|, where
+    |S_BB.rest| = 1 / |K_BB|. With singletons this equals the determinant of
+    the inflated correlation matrix.
 
     Both reduce to 1 for a diagonal covariance, and to 1 for the trivial
     partition {V}.
@@ -127,5 +135,5 @@ def global_collinearity(
         return prod / det_sigma
     prod = 1.0
     for block in blocks:
-        prod *= m.sigma.schur_complement(block, m.graph.complement(block)).det()
-    return det_sigma / prod
+        prod *= m.kappa.det(block)
+    return det_sigma * prod

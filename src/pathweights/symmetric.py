@@ -10,11 +10,13 @@ permutation bugs.
 
 Determinants and inverses go through Cholesky factorization (all matrices in
 scope are positive-definite principal submatrices); the determinant is the
-product of squared pivots.
+product of squared pivots, and its logarithm, for blocks whose determinant
+leaves the float range, twice the sum of the log pivots.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +64,8 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
     to right: by ``np.multiply.reduce`` over the strided diagonal for fewer
     blocks than pivots (a SIMD reduction along a contiguous axis may round
     differently), else column by column across blocks. It is squared as a
-    scalar. So every block gets the bits it gets alone.
+    Python float (an overflow gives inf, with no warning). So every block gets
+    the bits it gets alone.
     """
     k, n = blocks.shape[:2]
     if n == 0:
@@ -84,7 +87,46 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
         prods = pivots[:, 0]
         for j in range(1, n):
             prods = prods * pivots[:, j]
-    return [float(p ** 2) for p in prods]
+    return [_square(float(p)) for p in prods]
+
+
+def _square(p: float) -> float:
+    try:
+        return p ** 2
+    except OverflowError:
+        return math.inf
+
+
+def chol_slogdet(a: np.ndarray) -> tuple[float, float]:
+    """Sign and log|det| of a symmetric matrix, for determinants that overflow
+    or underflow: twice the summed log Cholesky pivots, or ``np.linalg.slogdet``
+    (LU) for a matrix Cholesky rejects. The empty matrix gives (1, 0)."""
+    try:
+        return 1.0, 2.0 * float(np.log(np.diagonal(np.linalg.cholesky(a))).sum())
+    except np.linalg.LinAlgError:
+        sign, logdet = np.linalg.slogdet(a)
+        return float(sign), float(logdet)
+
+
+def det_product(factors: Sequence[tuple["SymMatrix", Iterable[str] | None, int]]) -> float:
+    """Product of ``|M_LL| ** e`` over the ``(M, L, e)`` factors, e = 1 or -1
+    (L None: all of M), taken left to right from 1.0.
+
+    Where the direct product is not finite or is 0 (the blocks of a long path
+    overflow or underflow while their ratio does not), it is taken as
+    sign * exp(sum e log|M_LL|) instead.
+    """
+    out = 1.0
+    for mat, labels, e in factors:
+        out = out * mat.det(labels) if e > 0 else out / mat.det(labels)
+    if out != 0.0 and math.isfinite(out):
+        return out
+    sign, log = 1.0, 0.0
+    for mat, labels, e in factors:
+        s, logdet = mat.slogdet(labels)
+        sign, log = sign * s, log + e * logdet
+    with np.errstate(over="ignore"):
+        return float(sign * np.exp(log))
 
 
 class SymMatrix:
@@ -185,10 +227,17 @@ class SymMatrix:
 
         The determinant of the empty-set block is 1 by convention.
         """
+        return chol_det(self._block(labels))
+
+    def slogdet(self, labels: Iterable[str] | None = None) -> tuple[float, float]:
+        """:func:`chol_slogdet` of the principal submatrix on ``labels``."""
+        return chol_slogdet(self._block(labels))
+
+    def _block(self, labels: Iterable[str] | None) -> np.ndarray:
         if labels is None:
-            return chol_det(self.values)
+            return self.values
         idx = np.array(self.positions(labels), dtype=np.intp)
-        return chol_det(self.values[idx[:, None], idx])
+        return self.values[idx[:, None], idx]
 
     def inverse(self) -> "SymMatrix":
         """Inverse via Cholesky; raises NotPositiveDefiniteError otherwise."""

@@ -32,7 +32,7 @@ import numpy as np
 from .graphs import Path, PathRows, validate_path
 from .inflation import inflation_factor
 from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import SymMatrix, chol_det, chol_dets
+from .symmetric import SymMatrix, chol_det, chol_dets, chol_slogdet, det_product
 
 #: Weights at or below this magnitude are treated as zero by sign checks.
 DEFAULT_ZERO_TOL = 1e-12
@@ -107,11 +107,7 @@ class _PathKernel:
         if direct == 0.0 and not (scale and edges.all()):
             return direct  # a factor is exactly 0, so the direct product is exact
         idx = sorted(self.pos[self.labels[v]] for v in seq)
-        block = self.values[np.ix_(idx, idx)]
-        try:
-            sign, logdet = 1.0, 2.0 * float(np.log(np.diagonal(np.linalg.cholesky(block))).sum())
-        except np.linalg.LinAlgError:
-            sign, logdet = np.linalg.slogdet(block)
+        sign, logdet = chol_slogdet(self.values[np.ix_(idx, idx)])
         sign *= (1.0 if len(seq) % 2 else -1.0) * np.prod(np.sign(edges)) * np.sign(scale)
         with np.errstate(divide="ignore", over="ignore"):
             return float(sign * np.exp(logdet + np.log(np.abs(edges)).sum() + np.log(abs(scale))))
@@ -256,7 +252,7 @@ def factorize(
         weight=_PathKernel(m).single(seq, full),
         partial_weight=_PathKernel(m, cond).single(seq, scale),
         # |Sigma_PP| / |Sigma_PP.Abar|, exactly 1 on an empty Abar
-        inflation=m.sigma.det(path.vertex_set) / cond.det() if abar else 1.0,
+        inflation=det_product(((m.sigma, path.vertex_set, 1), (cond, None, -1))) if abar else 1.0,
         endpoint_inflation=scale / full,
         phi=normalized_weight(m, path),
     )

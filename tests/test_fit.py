@@ -107,6 +107,83 @@ def test_fit_reports_non_convergence():
     assert err.value.residual > 0
 
 
+def test_sample_in_another_label_order_fits_the_same_model():
+    rng = np.random.default_rng(415)
+    g = random_graph(rng, 6, 0.5)
+    s = random_sample_covariance(rng, 6)
+    order = [int(i) for i in rng.permutation(6)]
+    shuffled = SymMatrix([s.labels[i] for i in order], s.values[np.ix_(order, order)])
+    np.testing.assert_array_equal(ips_fit(shuffled, g).sigma.values, ips_fit(s, g).sigma.values)
+
+
+# -- covariance-form IPS against the full-inverse IPS it replaced -------------------
+
+
+def full_inverse_ips(sample, graph, tol=1e-9, max_iter=10000):
+    """The former ips_fit, kept as the reference: cliques are every singleton
+    and then every edge, and each clique step inverts the whole K."""
+    labels = graph.vertices
+    pos = {v: i for i, v in enumerate(labels)}
+    s = sample.reindexed(labels).values
+    p = len(labels)
+    cliques = [[i] for i in range(p)] + [sorted((pos[u], pos[v])) for u, v in graph.sorted_edges()]
+    constrained = np.eye(p, dtype=bool)
+    for u, v in graph.edges:
+        constrained[pos[u], pos[v]] = constrained[pos[v], pos[u]] = True
+    k = np.diag(1.0 / np.diagonal(s))
+    for _ in range(max_iter):
+        for c in cliques:
+            block = np.ix_(c, c)
+            fitted = np.linalg.inv(k)
+            k[block] += np.linalg.inv(s[block]) - np.linalg.inv(fitted[block])
+        k = (k + k.T) / 2.0
+        fitted = np.linalg.inv(k)
+        if np.abs((fitted - s)[constrained]).max() < tol:
+            return (fitted + fitted.T) / 2.0
+    raise AssertionError("reference IPS did not converge")
+
+
+def tree_with_chords(rng, p, chords):
+    names = vertex_names(p)
+    edges = {(names[int(rng.integers(0, i))], names[i]) for i in range(1, p)}
+    while len(edges) < p - 1 + chords:
+        i, j = sorted(int(v) for v in rng.choice(p, size=2, replace=False))
+        edges.add((names[i], names[j]))
+    return Graph(names, edges)
+
+
+def differential_graphs():
+    rng = np.random.default_rng(421)
+    names = vertex_names(7)
+    cases = []
+    for density in (0.2, 0.4, 0.6):
+        for _ in range(4):
+            cases.append(("random", random_graph(rng, int(rng.integers(3, 11)), density)))
+    for _ in range(6):
+        cases.append(("decomposable", random_decomposable_graph(rng, int(rng.integers(3, 10)))))
+    cases.append(("complete", Graph(names, [(u, v) for i, u in enumerate(names) for v in names[i + 1:]])))
+    cases.append(("edgeless", Graph(names)))
+    cases.append(("isolated vertices", Graph(names, [("v01", "v02"), ("v02", "v04"), ("v01", "v04"),
+                                                     ("v04", "v05")])))
+    cases.append(("disconnected", Graph(names, [("v00", "v01"), ("v01", "v02"), ("v03", "v04"),
+                                                ("v04", "v05"), ("v05", "v06"), ("v03", "v06")])))
+    cases.append(("tree plus chords", tree_with_chords(rng, 60, 6)))
+    return [pytest.param(g, id=f"{kind}-{i}") for i, (kind, g) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("graph", differential_graphs())
+def test_covariance_form_matches_the_full_inverse_ips(graph):
+    rng = np.random.default_rng([423, len(graph.vertices), len(graph.edges)])
+    s = random_sample_covariance(rng, len(graph.vertices))
+    fitted = ips_fit(s, graph)
+    assert np.abs(fitted.sigma.values - full_inverse_ips(s, graph)).max() <= 1e-9
+    off_edge = ~np.eye(len(graph.vertices), dtype=bool)
+    for u, v in graph.edges:
+        i, j = fitted.graph._index[u], fitted.graph._index[v]
+        off_edge[i, j] = off_edge[j, i] = False
+    assert np.all(fitted.kappa.values[off_edge] == 0.0)
+
+
 # -- sign search ---------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from pathweights import (
     Graph,
     Model,
     SymMatrix,
+    enumerate_paths,
     global_collinearity,
     inflation_factor,
     inflation_factor_identities,
@@ -96,6 +97,30 @@ def test_identities_agree_on_random_models():
         for v in ident.values():
             assert v == pytest.approx(reference, rel=1e-9)
         assert inflation_factor(m, a, b) == pytest.approx(reference, rel=1e-9)
+
+
+def test_complement_closed_form_agrees_with_the_schur_route():
+    # B = complement of A takes |Sigma_AA| |K_AA|; the identity record's
+    # partial_ratio takes |Sigma_AA| / |Sigma_AA.B| through a Schur complement
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(40):
+        m = random_model(rng, int(rng.integers(3, 11)), float(rng.uniform(0.2, 0.8)))
+        blocks = [list(e) for e in m.graph.sorted_edges()]
+        blocks += [list(p.sequence) for p in enumerate_paths(m.graph, *m.vertices[:2])][:5]
+        labels = list(m.vertices)
+        for _ in range(3):
+            rng.shuffle(labels)
+            blocks.append(labels[:int(rng.integers(1, len(labels)))])
+        for a in blocks:
+            b = m.graph.complement(a)
+            if not b:
+                continue
+            closed = inflation_factor(m, a)
+            assert closed == inflation_factor(m, a, b)
+            assert closed == pytest.approx(inflation_factor_identities(m, a).partial_ratio, rel=1e-12)
+            checked += 1
+    assert checked > 300
 
 
 def test_inflation_from_correlation_matrix_agrees():

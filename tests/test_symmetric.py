@@ -1,4 +1,6 @@
 import ast
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from pathweights import (
     SymMatrix,
     UnknownVertexError,
 )
-from pathweights.symmetric import chol_det, chol_dets
+from pathweights.symmetric import chol_det, chol_dets, chol_slogdet, det_product
 
 from conftest import oracle_schur
 
@@ -125,6 +127,30 @@ def test_det_indefinite_fallback():
             for blocks in (stack, indefinite):
                 assert chol_dets(blocks) == [chol_det(b) for b in blocks]
             assert chol_det(indefinite[-1]) == pytest.approx(np.linalg.det(indefinite[-1]), rel=1e-12)
+
+
+def test_overflowing_determinant_is_inf_without_a_warning():
+    big = np.diag(np.full(40, 1e10))  # det 1e400, beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert chol_dets(np.array([big, big, np.eye(40)])) == [math.inf, math.inf, 1.0]
+        assert chol_det(big) == math.inf
+    assert chol_slogdet(big) == (1.0, pytest.approx(400 * math.log(10), rel=1e-15))
+    assert chol_slogdet(np.zeros((0, 0))) == (1.0, 0.0)
+
+
+def test_det_product_falls_back_to_log_determinants():
+    rng = np.random.default_rng(117)
+    m = sym(random_spd(rng, 5))
+    direct = m.det(["1", "2"]) * m.det(["3"]) / m.det()
+    assert det_product([(m, ["1", "2"], 1), (m, ["3"], 1), (m, None, -1)]) == direct
+    # |M| ** 2 / |M| ** 2 = 1, with both |M| ** 2 overflowing on their own
+    huge = sym(np.diag(np.full(40, 1e10)))
+    assert det_product([(huge, None, 1), (huge, None, 1), (huge, None, -1), (huge, None, -1)]) == (
+        pytest.approx(1.0, rel=1e-12))
+    # |tiny| * |huge| = 1, with one underflowing to 0 and one overflowing
+    tiny = sym(np.diag(np.full(40, 1e-10)))
+    assert det_product([(tiny, None, 1), (huge, None, 1)]) == pytest.approx(1.0, rel=1e-12)
 
 
 # -- inverse ---------------------------------------------------------------------

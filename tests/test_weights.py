@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -21,6 +22,7 @@ from pathweights import (
     enumerate_paths,
     factorize,
     inflated_weight_explicit,
+    inflation_factor,
     is_chordless,
     normalized_weight,
     partial_inflated_weight_explicit,
@@ -178,20 +180,40 @@ def test_partial_weight_triangle_pair(triangle):
     assert partial_weight(triangle, p, ["1", "3"]) == pytest.approx(schur[0, 1], rel=1e-12)
 
 
-def test_partial_weight_on_a_1200_vertex_chain():
-    # |Sigma_PP| overflows and the edge product underflows; both the weight
-    # and the partial weight go to log space rather than inf * 0 = nan
-    names = vertex_names(1200)
+def rescaled_chain(p=1200):
+    """Chain with every edge partial correlation 0.45 and rescaled variances:
+    on a long path |Sigma_PP| overflows and the edge product underflows."""
+    names = vertex_names(p)
     g = Graph(names, list(zip(names, names[1:])))
     pcor = Model.from_partial_correlations(g, {e: 0.45 for e in g.edges})
-    d = np.random.default_rng(1201).uniform(0.5, 2.0, size=1200)
-    m = Model.from_sigma(g, SymMatrix(names, pcor.sigma.values * np.outer(d, d)))
-    p = Path(tuple(names))
-    assert partial_weight(m, p, m.vertices) == pytest.approx(weight(m, p), rel=1e-12)
-    fb = factorize(m, p)
+    d = np.random.default_rng(1201).uniform(0.5, 2.0, size=p)
+    return Model.from_sigma(g, SymMatrix(names, pcor.sigma.values * np.outer(d, d)))
+
+
+def test_partial_weight_on_a_1200_vertex_chain():
+    # both the weight and the partial weight go to log space rather than
+    # inf * 0 = nan, and the overflowing determinant raises no warning
+    m = rescaled_chain()
+    p = Path(m.vertices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert partial_weight(m, p, m.vertices) == pytest.approx(weight(m, p), rel=1e-12)
+        fb = factorize(m, p)
     assert all(math.isfinite(v) for v in (fb.weight, fb.partial_weight, fb.inflation,
                                            fb.endpoint_inflation, fb.phi))
     assert fb.weight != 0.0 and fb.partial_weight != 0.0
+
+
+def test_inflation_on_a_1199_vertex_path_of_the_chain():
+    # |Sigma_PP| overflows and |K_PP| and |Sigma_PP.Abar| underflow; the
+    # factor comes from log-determinants rather than inf / inf = nan
+    m = rescaled_chain()
+    p = Path(m.vertices[:1199])
+    closed = inflation_factor(m, p.vertex_set)
+    schur = factorize(m, p).inflation
+    assert math.isfinite(closed) and math.isfinite(schur)
+    assert closed == pytest.approx(schur, rel=1e-9)
+    assert closed > 1.0
 
 
 def test_partial_weight_needs_path_inside_restriction(triangle):
