@@ -12,6 +12,13 @@ a pair carries the same sign (which the signed-positivity check in
 :mod:`pathweights.fit` can certify globally), shares coincide with signed
 proportions of the association itself; the ``same_signed`` flag records
 whether that reading applies.
+
+A report from :func:`decompose` keeps its paths as integer rows next to the
+weight and share arrays, and builds ``entries`` (one :class:`Path` and one
+:class:`PathContribution` per path) on first access, then drops the rows and
+arrays. ``target``, ``residual`` and ``same_signed`` are plain fields, so
+callers that only check the identity never pay for the per-path objects;
+``total_weight``, ``to_dict`` and :func:`subset_share` read ``entries``.
 """
 
 from __future__ import annotations
@@ -23,12 +30,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import UndefinedShareError
-from .graphs import DEFAULT_PATH_CAP, Path, PathRows, _gather, _lex_order, _pair_paths, _walk
+from .graphs import DEFAULT_PATH_CAP, Graph, Path, PathRows, _gather, _lex_order, _pair_paths, _walk
 from .model import Kind, Measure, Model
 from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathContribution:
     path: Path
     weight: float
@@ -47,7 +54,11 @@ class PathContribution:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Decomposition of one association entry over the paths joining (x, y)."""
+    """Decomposition of one association entry over the paths joining (x, y).
+
+    ``entries`` of a report made by :func:`decompose` is built on first read
+    (see the module docstring); equality and repr cover the fields only.
+    """
 
     x: str
     y: str
@@ -57,6 +68,37 @@ class DecompositionReport:
     target: float
     residual: float
     same_signed: bool
+
+    @classmethod
+    def _from_rows(cls, graph: Graph, rows: PathRows, weights: np.ndarray, shares: np.ndarray,
+                   **fields) -> "DecompositionReport":
+        """A report whose ``entries`` are built from ``rows`` on first read."""
+        report = object.__new__(cls)
+        report.__dict__.update(fields)
+        # The walk's keys and prods are not needed once the rows are weighed.
+        # The narrowest type that holds every index, length and the -1 padding
+        # keeps the rows small while they wait for the first read.
+        small = np.min_scalar_type(-1 - len(graph.vertices))
+        rows = PathRows(rows.seqs.astype(small), rows.lengths.astype(small), None, None)
+        report.__dict__["_rows"] = graph, rows, weights, shares
+        return report
+
+    def __getattr__(self, name: str):
+        # only reached for an attribute not set: ``entries`` of an unread _from_rows report
+        state = self.__dict__
+        if name == "entries":
+            pending = state.get("_rows")
+            if pending is not None:
+                graph, rows, weights, shares = pending
+                built = tuple(map(PathContribution._wrap, rows.paths(graph),
+                                  weights.tolist(), shares.tolist()))
+                # set before the rows go: a thread that finds no rows finds the entries
+                entries = state.setdefault("entries", built)
+                state.pop("_rows", None)
+                return entries
+            if "entries" in state:  # built by another thread since this lookup began
+                return state["entries"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def total_weight(self) -> float:
@@ -127,16 +169,14 @@ def decompose(
     magnitudes = np.abs(weights)
     total_abs = math.fsum(magnitudes.tolist())
     shares = magnitudes / total_abs if total_abs > 0.0 else np.zeros(len(weights))
-    raw = weights.tolist()
-    residual = math.fsum(raw) - target
+    residual = math.fsum(weights.tolist()) - target
     signs = set((weights[magnitudes > zero_tol] > 0.0).tolist())
-    wrap = PathContribution._wrap
-    return DecompositionReport(
+    return DecompositionReport._from_rows(
+        g, rows, weights, shares,
         x=x,
         y=y,
         measure=kind,
         restrict=a,
-        entries=tuple(map(wrap, rows.paths(g), raw, shares.tolist())),
         target=target,
         residual=residual,
         same_signed=len(signs) <= 1,
@@ -187,6 +227,8 @@ def rank_paths(
     rows = PathRows(*(field[order] for field in rows))
     kdiag = np.diagonal(kernel.kappa)
     scale = np.sqrt(kdiag[rows.seqs[:, 0]] * kdiag[rows.seqs[:, -1]])
-    ranked = list(zip(rows.paths(g), kernel(rows, scale).tolist()))
-    ranked.sort(key=lambda item: (-abs(item[1]), item[0].sequence))
-    return ranked
+    weights = kernel(rows, scale)
+    # strongest first, ties by label sequence (every row has vertex_count vertices)
+    order = _lex_order(g, rows.seqs, -np.abs(weights))
+    ranked = rows._replace(seqs=rows.seqs[order], lengths=rows.lengths[order])
+    return list(zip(ranked.paths(g), weights[order].tolist()))

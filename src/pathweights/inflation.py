@@ -81,18 +81,21 @@ def inflation_factor_identities(
         one = 1.0
         return InflationIdentities(one, one, one, one if complement_case else None)
     union = m.graph.require_vertices(set(a) | set(b))
-    det_union = m.sigma.det(union)
-    det_a = m.sigma.det(a)
-    det_b = m.sigma.det(b)
-    det_a_given_b = m.sigma.schur_complement(a, b).det()
-    det_b_given_a = m.sigma.schur_complement(b, a).det()
+    sigma = m.sigma
+    blocks = {"a": (sigma, a), "b": (sigma, b), "union": (sigma, union),
+              "a.b": (sigma.schur_complement(a, b), None), "b.a": (sigma.schur_complement(b, a), None)}
+    dets = {name: mat.det(labels) for name, (mat, labels) in blocks.items()}
+
+    def ratio(*terms: tuple[str, int]) -> float:
+        return det_product([(*blocks[name], e) for name, e in terms], [dets[name] for name, _ in terms])
+
     concentration = None
     if complement_case:
-        concentration = m.kappa.det(a) * m.kappa.det(b) / m.kappa.det()
+        concentration = det_product(((m.kappa, a, 1), (m.kappa, b, 1), (m.kappa, None, -1)))
     return InflationIdentities(
-        determinant_ratio=det_a * det_b / det_union,
-        partial_ratio=det_a / det_a_given_b,
-        symmetric_ratio=det_union / (det_a_given_b * det_b_given_a),
+        determinant_ratio=ratio(("a", 1), ("b", 1), ("union", -1)),
+        partial_ratio=ratio(("a", 1), ("a.b", -1)),
+        symmetric_ratio=ratio(("union", 1), ("a.b", -1), ("b.a", -1)),
         concentration_ratio=concentration,
     )
 

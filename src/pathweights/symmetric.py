@@ -61,10 +61,10 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
     One stacked Cholesky factors them all; if a block is not positive
     definite, each block is taken on its own and the ones Cholesky rejects go
     to ``np.linalg.det`` (LU). The pivot product of each block is reduced left
-    to right: by ``np.multiply.reduce`` over the strided diagonal for fewer
-    blocks than pivots (a SIMD reduction along a contiguous axis may round
-    differently), else column by column across blocks. It is squared as a
-    Python float (an overflow gives inf, with no warning). So every block gets
+    to right: with ``math.prod`` over Python floats for fewer blocks than
+    pivots (a SIMD reduction along a contiguous axis may round differently),
+    else column by column across blocks. It is squared as a Python float. An
+    overflow at either step gives inf, with no warning. So every block gets
     the bits it gets alone.
     """
     k, n = blocks.shape[:2]
@@ -81,13 +81,15 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
             return [float(np.linalg.det(blocks[0]))]
         return [chol_dets(b[None])[0] for b in blocks]
     if k < n:
-        prods = [np.multiply.reduce(np.diagonal(f)) for f in factors]
+        prods = [math.prod(np.diagonal(f).tolist()) for f in factors]
     else:
         pivots = np.diagonal(factors, axis1=1, axis2=2)
         prods = pivots[:, 0]
-        for j in range(1, n):
-            prods = prods * pivots[:, j]
-    return [_square(float(p)) for p in prods]
+        with np.errstate(over="ignore"):
+            for j in range(1, n):
+                prods = prods * pivots[:, j]
+        prods = prods.tolist()
+    return [_square(p) for p in prods]
 
 
 def _square(p: float) -> float:
@@ -108,17 +110,25 @@ def chol_slogdet(a: np.ndarray) -> tuple[float, float]:
         return float(sign), float(logdet)
 
 
-def det_product(factors: Sequence[tuple["SymMatrix", Iterable[str] | None, int]]) -> float:
+def det_product(factors: Sequence[tuple["SymMatrix", Iterable[str] | None, int]],
+                dets: Sequence[float] | None = None) -> float:
     """Product of ``|M_LL| ** e`` over the ``(M, L, e)`` factors, e = 1 or -1
-    (L None: all of M), taken left to right from 1.0.
+    (L None: all of M), taken left to right from 1.0. ``dets``, when given,
+    holds the factors' determinants, already taken by the caller.
 
-    Where the direct product is not finite or is 0 (the blocks of a long path
-    overflow or underflow while their ratio does not), it is taken as
+    Where the direct product is not finite or is 0, or divides by a
+    determinant that underflows to 0 (the blocks of a long path overflow or
+    underflow while their ratio does not), it is taken as
     sign * exp(sum e log|M_LL|) instead.
     """
+    if dets is None:
+        dets = [mat.det(labels) for mat, labels, _ in factors]
     out = 1.0
-    for mat, labels, e in factors:
-        out = out * mat.det(labels) if e > 0 else out / mat.det(labels)
+    try:
+        for d, (_, _, e) in zip(dets, factors):
+            out = out * d if e > 0 else out / d
+    except ZeroDivisionError:
+        out = 0.0
     if out != 0.0 and math.isfinite(out):
         return out
     sign, log = 1.0, 0.0

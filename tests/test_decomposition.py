@@ -1,8 +1,13 @@
+import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from pathweights import (
     CustomScaling,
+    DecompositionReport,
     Graph,
     Measure,
     Model,
@@ -14,6 +19,7 @@ from pathweights import (
     subset_share,
     weight,
 )
+from pathweights.graphs import PathRows
 
 from conftest import random_model, vertex_names
 
@@ -121,6 +127,84 @@ def test_decompose_validates_endpoints(triangle):
         decompose(triangle, "1", "1")
     with pytest.raises(ValueError):
         decompose(triangle, "1", "3", restrict=["1", "2"])
+
+
+# -- lazy entries -------------------------------------------------------------------
+
+
+def test_entries_are_built_only_when_read(monkeypatch):
+    calls = []
+    paths = PathRows.paths
+    monkeypatch.setattr(PathRows, "paths", lambda rows, graph: calls.append(1) or paths(rows, graph))
+    m = random_model(np.random.default_rng(209), 9, 0.6)
+    reports = [decompose(m, x, y, kind=kind) for kind in KINDS
+               for x in m.vertices for y in m.vertices if x < y]
+    for r in reports:
+        assert abs(r.residual) <= DECOMP_TOL * max(1.0, abs(r.target))
+        assert isinstance(r.same_signed, bool)
+    assert calls == []
+    first = reports[0].entries
+    assert reports[0].entries is first
+    assert calls == [1]
+
+
+def test_threads_reading_new_entries_get_one_tuple(monkeypatch):
+    # both threads are inside the build at once; each must get the same tuple
+    barrier = threading.Barrier(2, timeout=10)
+    paths = PathRows.paths
+
+    def meet_then_build(rows, graph):
+        barrier.wait()
+        return paths(rows, graph)
+
+    monkeypatch.setattr(PathRows, "paths", meet_then_build)
+    report = decompose(random_model(np.random.default_rng(213), 8, 0.6), "v00", "v07")
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(lambda _: report.entries, range(2)))
+    assert got[0] is got[1] is report.entries
+    assert len(got[0]) > 1
+
+
+def test_lazy_report_equals_one_built_from_its_entries():
+    rng = np.random.default_rng(211)
+    m = random_model(rng, 9, 0.6)
+    names = m.vertices
+    restrict = [v for v in names if v != names[4]]
+    for kind in (*KINDS, CustomScaling(dict(zip(names, rng.uniform(0.5, 2.0, size=9))))):
+        for rest in (None, restrict):
+            lazy = decompose(m, names[0], names[-1], kind=kind, restrict=rest)
+            eager = DecompositionReport(**{f.name: getattr(lazy, f.name)
+                                           for f in dataclasses.fields(lazy)})
+            assert len(eager.entries) > 10
+            assert eager.total_weight == lazy.total_weight
+            assert eager.to_dict() == lazy.to_dict()
+            assert eager == lazy and repr(eager) == repr(lazy)
+
+
+@pytest.mark.parametrize("p", [127, 128])
+def test_rows_of_every_length_survive_until_read(p):
+    # the rows are stored in the narrowest integer type that holds a length of p
+    names = vertex_names(p)
+    m = Model.from_partial_correlations(Graph(names, list(zip(names, names[1:]))),
+                                        {e: 0.3 for e in zip(names, names[1:])})
+    report = decompose(m, names[0], names[-1])
+    assert report.entries[0].path.sequence == tuple(names)
+    assert report.to_dict()["paths"][0]["path"] == names
+
+
+def test_constructor_takes_explicit_entries(triangle):
+    entries = tuple(decompose(triangle, "1", "3").entries)
+    report = DecompositionReport(x="1", y="3", measure=Measure.COVARIANCE, restrict=None,
+                                 entries=entries, target=1.0, residual=0.0, same_signed=True)
+    assert report.entries is entries
+    assert report.total_weight == pytest.approx(0.39 / 0.676, rel=1e-12)
+    assert [p["path"] for p in report.to_dict()["paths"]] == [["1", "2", "3"], ["1", "3"]]
+    assert report == dataclasses.replace(report)
+    assert report != dataclasses.replace(report, residual=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.entries = ()
+    with pytest.raises(AttributeError):
+        report.missing
 
 
 # -- shares ---------------------------------------------------------------------

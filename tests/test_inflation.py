@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from pathweights import (
 )
 
 from conftest import oracle_inflation_factor, random_model
+from test_weights import rescaled_chain
 
 
 @pytest.fixture()
@@ -193,3 +197,28 @@ def test_global_collinearity_validates_partition(triangle):
         global_collinearity(triangle, "variance", [["1", "2"]])
     with pytest.raises(ValueError):
         global_collinearity(triangle, "bogus")
+
+
+def test_identities_on_a_1200_vertex_chain():
+    # |K| underflows to 0 and |Sigma| overflows to inf; every route falls back
+    # to log-determinants instead of dividing by 0 or giving inf / inf
+    m = rescaled_chain()
+    a, b = m.vertices[:5], m.vertices[5:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ident = inflation_factor_identities(m, a, b)
+        closed = inflation_factor(m, a, b)
+    assert len(ident.values()) == 4
+    for v in ident.values():
+        assert math.isfinite(v)
+        assert v == pytest.approx(closed, rel=1e-9)
+
+
+def test_identities_take_each_determinant_once(monkeypatch):
+    # five Sigma blocks (A, B, A u B, A.B, B.A) and three K blocks (A, B, all)
+    calls = []
+    det = SymMatrix.det
+    monkeypatch.setattr(SymMatrix, "det", lambda mat, labels=None: calls.append(1) or det(mat, labels))
+    m = random_model(np.random.default_rng(307), 8, 0.5)
+    inflation_factor_identities(m, m.vertices[:3])
+    assert len(calls) == 8

@@ -139,6 +139,16 @@ def test_overflowing_determinant_is_inf_without_a_warning():
     assert chol_slogdet(np.zeros((0, 0))) == (1.0, 0.0)
 
 
+def test_overflowing_pivot_product_is_inf_without_a_warning():
+    # the pivot product itself (1e400) leaves the float range, not only its
+    # square: one block, and a stack of more blocks than pivots
+    big = np.diag(np.full(200, 1e4))[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert chol_dets(big) == [math.inf]
+        assert chol_dets(np.repeat(big, 201, axis=0)) == [math.inf] * 201
+
+
 def test_det_product_falls_back_to_log_determinants():
     rng = np.random.default_rng(117)
     m = sym(random_spd(rng, 5))
