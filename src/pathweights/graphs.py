@@ -332,13 +332,23 @@ class Path:
 
 
 def validate_path(graph: Graph, path: Path) -> None:
-    """Raise InvalidPathError unless every consecutive pair is a graph edge."""
-    missing = [v for v in path.sequence if v not in graph]
-    if missing:
-        raise InvalidPathError(f"path visits unknown vertices: {missing}")
-    for u, v in zip(path.sequence, path.sequence[1:]):
-        if not graph.has_edge(u, v):
-            raise InvalidPathError(f"{u!r}--{v!r} is not an edge of the graph")
+    """Raise InvalidPathError unless every consecutive pair of ``path`` is an
+    edge of ``graph``, naming the unknown vertices or the first missing edge."""
+    _path_indices(graph, path)
+
+
+def _path_indices(graph: Graph, path: Path) -> list[int]:
+    """The vertex indices of ``path``, checked as :func:`validate_path` checks it."""
+    index, nbrs, names = graph._index, graph._nbr_lists, graph.vertices
+    try:
+        seq = [index[v] for v in path.sequence]
+    except KeyError:
+        missing = [v for v in path.sequence if v not in index]
+        raise InvalidPathError(f"path visits unknown vertices: {missing}") from None
+    for u, v in zip(seq, seq[1:]):
+        if v not in nbrs[u]:
+            raise InvalidPathError(f"{names[u]!r}--{names[v]!r} is not an edge of the graph")
+    return seq
 
 
 class PathRows(NamedTuple):

@@ -31,14 +31,16 @@ def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None)
     positive-definite covariance; it is reported raw, never clamped.
     """
     a = m.graph.require_vertices(a)
-    b = m.graph.complement(a) if b is None else m.graph.require_vertices(b)
-    if set(a) & set(b):
-        raise ValueError(f"blocks must be disjoint; both contain {sorted(set(a) & set(b))}")
-    if not a or not b:
-        return 1.0
-    if len(a) + len(b) == m.sigma.dim:  # B is the complement: |Sigma_AA.B| = 1 / |K_AA|
-        return det_product(((m.sigma, a, 1), (m.kappa, a, 1)))
-    return det_product(((m.sigma, a, 1), (m.sigma.schur_complement(a, b), None, -1)))
+    if b is not None:
+        b = m.graph.require_vertices(b)
+        if set(a) & set(b):
+            raise ValueError(f"blocks must be disjoint; both contain {sorted(set(a) & set(b))}")
+        if not a or not b:
+            return 1.0
+        if len(a) + len(b) < m.sigma.dim:
+            return det_product(((m.sigma, a, 1), (m.sigma.schur_complement(a, b), None, -1)))
+    # B is the complement: |Sigma_AA.B| = 1 / |K_AA|
+    return det_product(((m.sigma, a, 1), (m.kappa, a, 1))) if 0 < len(a) < m.sigma.dim else 1.0
 
 
 @dataclass(frozen=True)

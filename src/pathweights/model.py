@@ -57,6 +57,9 @@ class CustomScaling:
             if not np.isfinite(d) or d == 0.0:
                 raise ValueError(f"scaling entry for {v!r} must be finite and nonzero, got {d}")
 
+    def __hash__(self):  # ``delta`` is a mapping: hash its items, which equal scalings share
+        return hash(frozenset(self.delta.items()))
+
 
 #: Anything accepted where an association measure is expected.
 Kind = Measure | CustomScaling
@@ -196,9 +199,7 @@ class Model:
         a = self.graph.require_vertices(a)
         if not a:
             raise ValueError("conditioning set must be nonempty")
-        i_minus_r = np.eye(self.sigma.dim) - self.partial_corr.values
-        block = SymMatrix(self.vertices, i_minus_r).submatrix(a)
-        return block.inverse()
+        return SymMatrix(a, np.eye(len(a)) - self.partial_corr.submatrix(a).values).inverse()
 
     def __repr__(self) -> str:
         return f"Model({self.graph!r}, source={self.source_kind!r})"

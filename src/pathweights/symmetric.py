@@ -196,8 +196,9 @@ class SymMatrix:
         return sorted(self._pos[lab] for lab in labels)
 
     def entry(self, u: str, v: str) -> float:
-        iu, iv = self.positions([u])[0], self.positions([v])[0]
-        return float(self.values[iu, iv])
+        if u not in self._pos or v not in self._pos:
+            raise UnknownVertexError([u if u not in self._pos else v])
+        return self.values.item(self._pos[u], self._pos[v])
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.values).copy()

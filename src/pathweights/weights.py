@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Path, PathRows, validate_path
+from .graphs import Path, PathRows, _path_indices
 from .inflation import inflation_factor
 from .model import CustomScaling, Kind, Measure, Model
 from .symmetric import SymMatrix, chol_det, chol_dets, chol_slogdet, det_product
@@ -94,10 +94,7 @@ class _PathKernel:
         """The weight of one path given by vertex indices, without batching."""
         block = np.array(sorted(self.pos[self.labels[i]] for i in seq))
         det = chol_det(self.values[block[:, None], block])
-        prod = 1.0
-        for u, v in zip(seq, seq[1:]):
-            prod *= self.kappa.item(u, v)
-        out = (1.0 if len(seq) % 2 else -1.0) * det * prod * scale
+        out = (1.0 if len(seq) % 2 else -1.0) * det * _edge_product(self.kappa, seq) * scale
         return out if out != 0.0 and math.isfinite(out) else self._log_space(np.array(seq), scale, out)
 
     def _log_space(self, seq: np.ndarray, scale: float, direct: float) -> float:
@@ -113,13 +110,17 @@ class _PathKernel:
             return float(sign * np.exp(logdet + np.log(np.abs(edges)).sum() + np.log(abs(scale))))
 
 
-def _block_det(values: np.ndarray, pos: dict, labels) -> float:
-    idx = np.array(sorted(pos[v] for v in labels), dtype=np.intp)
-    return chol_det(values[idx[:, None], idx])
+def _edge_product(values: np.ndarray, seq: list[int]) -> float:
+    """Product of ``values[u, v]`` along the path ``seq``, left to right from 1.0."""
+    prod = 1.0
+    for u, v in zip(seq, seq[1:]):
+        prod *= values.item(u, v)
+    return prod
 
 
-def _i_minus_r(m: Model) -> np.ndarray:
-    return np.eye(m.sigma.dim) - m.partial_corr.values
+def _i_minus_r_det(m: Model, idx: np.ndarray) -> float:
+    """|(I - R)_{idx,idx}| for ascending vertex indices ``idx``, without forming I - R."""
+    return chol_det(np.eye(len(idx)) - m.partial_corr.values[idx[:, None], idx])
 
 
 def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
@@ -147,24 +148,6 @@ def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> fl
     raise TypeError(f"unsupported measure kind: {kind!r}")
 
 
-def _edge_pcor_product(m: Model, path: Path) -> float:
-    r = m.partial_corr
-    prod = 1.0
-    for u, v in zip(path.sequence, path.sequence[1:]):
-        prod *= r.values[r._pos[u], r._pos[v]]
-    return prod
-
-
-def _restriction(m: Model, path: Path, a: Iterable[str] | None) -> tuple[str, ...]:
-    """Validated conditioning set: V(path) <= a <= V, default a = V(path)."""
-    if a is None:
-        return m.graph.require_vertices(path.vertex_set)
-    a = m.graph.require_vertices(a)
-    if not path.vertex_set <= set(a):
-        raise ValueError("conditioning set must contain every vertex of the path")
-    return a
-
-
 # -- weights ------------------------------------------------------------------
 
 def weight(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> float:
@@ -175,18 +158,19 @@ def weight(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> float:
     entries of the defining congruence, which is exactly the weight obtained
     by decomposing the scaled matrix directly.
     """
-    validate_path(m.graph, path)
-    seq = [m.graph._index[v] for v in path.sequence]
+    seq = _path_indices(m.graph, path)
     return _PathKernel(m).single(seq, _endpoint_scale(m, kind, m.sigma, path.x, path.y))
 
 
 def _partial(m: Model, path: Path, a: Iterable[str] | None):
-    """The validated restriction A, its complement and Sigma_{PP.Abar}, the
-    covariance the partial weight of ``path`` is taken on."""
-    validate_path(m.graph, path)
-    a = _restriction(m, path, a)
+    """Indices of the checked ``path``, restriction A (V(path) <= A <= V, default
+    V(path)), its complement and Sigma_{PP.Abar}, the partial weight's covariance."""
+    seq = _path_indices(m.graph, path)
+    a = m.graph.require_vertices(path.vertex_set if a is None else a)
+    if not path.vertex_set <= set(a):
+        raise ValueError("conditioning set must contain every vertex of the path")
     abar = m.graph.complement(a)
-    return a, abar, m.sigma.schur_complement(path.vertex_set, abar)
+    return seq, a, abar, m.sigma.schur_complement(path.vertex_set, abar)
 
 
 def partial_weight(
@@ -204,8 +188,7 @@ def partial_weight(
     conditional variances, matching the correlation matrix of the conditional
     distribution.
     """
-    _, _, cond = _partial(m, path, a)
-    seq = [m.graph._index[v] for v in path.sequence]
+    seq, _, _, cond = _partial(m, path, a)
     return _PathKernel(m, cond).single(seq, _endpoint_scale(m, kind, cond, path.x, path.y))
 
 
@@ -241,8 +224,7 @@ def factorize(
     kind: Kind = Measure.COVARIANCE,
 ) -> WeightBreakdown:
     """Split the weight of ``path`` into partial weight and inflation factor."""
-    a, abar, cond = _partial(m, path, a)
-    seq = [m.graph._index[v] for v in path.sequence]
+    seq, a, abar, cond = _partial(m, path, a)
     scale = _endpoint_scale(m, kind, cond, path.x, path.y)
     full = _endpoint_scale(m, kind, m.sigma, path.x, path.y)
     return WeightBreakdown(
@@ -254,7 +236,7 @@ def factorize(
         # |Sigma_PP| / |Sigma_PP.Abar|, exactly 1 on an empty Abar
         inflation=det_product(((m.sigma, path.vertex_set, 1), (cond, None, -1))) if abar else 1.0,
         endpoint_inflation=scale / full,
-        phi=normalized_weight(m, path),
+        phi=_normalized(m, seq),
     )
 
 
@@ -269,31 +251,35 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     round-off; the two evaluations share no intermediate quantities, which is
     what makes their agreement a meaningful check.
     """
-    validate_path(m.graph, path)
-    return m.inflated.det(path.vertex_set) * _edge_pcor_product(m, path)
+    seq = _path_indices(m.graph, path)
+    on = np.array(sorted(seq))
+    return chol_det(m.inflated.values[on[:, None], on]) * _edge_product(m.partial_corr.values, seq)
 
 
 def partial_inflated_weight_explicit(m: Model, path: Path) -> float:
     """Closed form of the inflated-correlation weight after adjusting for
     everything off the path: edge partial correlations divided by the
     determinant of the path block of (I - partial_corr)."""
-    validate_path(m.graph, path)
-    det = _block_det(_i_minus_r(m), m.partial_corr._pos, path.vertex_set)
-    return _edge_pcor_product(m, path) / det
+    seq = _path_indices(m.graph, path)
+    return _edge_product(m.partial_corr.values, seq) / _i_minus_r_det(m, np.array(sorted(seq)))
 
 
 def normalized_weight(m: Model, path: Path) -> float:
     """Scale-free path weight in [-1, 1].
 
-    Product of the edge partial correlations times the determinant of the
-    off-path block of (I - partial_corr). Equals the inflated-correlation
+    |(I - R)_{PbarPbar}| * prod(r_uv over path edges), with R the partial
+    correlations and Pbar the off-path vertices. Equals the inflated-correlation
     weight divided by its sharp bound, the determinant of the inflated
     correlation matrix.
     """
-    validate_path(m.graph, path)
-    pbar = frozenset(m.vertices) - path.vertex_set
-    det = _block_det(_i_minus_r(m), m.partial_corr._pos, pbar)
-    return det * _edge_pcor_product(m, path)
+    return _normalized(m, _path_indices(m.graph, path))
+
+
+def _normalized(m: Model, seq: list[int]) -> float:
+    """:func:`normalized_weight` of a checked path of vertex indices."""
+    off = np.ones(m.sigma.dim, dtype=bool)
+    off[seq] = False
+    return _i_minus_r_det(m, np.flatnonzero(off)) * _edge_product(m.partial_corr.values, seq)
 
 
 def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tuple[float, float]:
@@ -304,7 +290,7 @@ def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tupl
     inflated-correlation measure the endpoint term is exactly 1, so every
     path in the graph shares the same bounds regardless of its endpoints.
     """
-    validate_path(m.graph, path)
+    _path_indices(m.graph, path)
     x, y = path.x, path.y
     scale = _endpoint_scale(m, kind, m.sigma, x, y)
     # bracketed, the inflated-correlation ratio is exactly 1.0 and its bounds exactly +-det

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -179,6 +180,9 @@ def test_lazy_report_equals_one_built_from_its_entries():
             assert eager.total_weight == lazy.total_weight
             assert eager.to_dict() == lazy.to_dict()
             assert eager == lazy and repr(eager) == repr(lazy)
+            # an equal measure built anew hashes equal too (a CustomScaling holds a dict)
+            twin = dataclasses.replace(eager, measure=copy.deepcopy(kind))
+            assert twin == lazy and hash(twin) == hash(eager) == hash(lazy)
 
 
 @pytest.mark.parametrize("p", [127, 128])

@@ -88,10 +88,14 @@ def test_path_canonical_orientation():
 def test_validate_path_checks_edges():
     g = chain(3)
     validate_path(g, Path(("1", "2", "3")))
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(InvalidPathError, match="^'1'--'3' is not an edge of the graph$"):
         validate_path(g, Path(("1", "3")))
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(InvalidPathError, match="^'3'--'1' is not an edge of the graph$"):
+        validate_path(g, Path(("2", "3", "1")))
+    with pytest.raises(InvalidPathError, match=r"^path visits unknown vertices: \['x'\]$"):
         validate_path(g, Path(("1", "x")))
+    with pytest.raises(InvalidPathError, match=r"^path visits unknown vertices: \['y', 'x'\]$"):
+        validate_path(g, Path(("y", "1", "x")))
 
 
 # -- enumeration -----------------------------------------------------------------

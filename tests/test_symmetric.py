@@ -97,6 +97,14 @@ def test_det_two_by_two():
     assert sym([[1.0, 0.5], [0.5, 1.0]]).det() == pytest.approx(0.75)
 
 
+def test_entry_unknown_label():
+    m = sym(np.eye(2))
+    for u, v in (("1", "zzz"), ("zzz", "2")):
+        with pytest.raises(UnknownVertexError) as info:
+            m.entry(u, v)
+        assert info.value.missing == ("zzz",)
+
+
 def test_det_unknown_label():
     with pytest.raises(UnknownVertexError):
         sym(np.eye(2)).det(["1", "zzz"])

@@ -88,12 +88,23 @@ def test_weight_matches_complement_determinant_form():
 
 
 def test_weight_rejects_non_paths(triangle):
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(InvalidPathError, match=r"^path visits unknown vertices: \['zzz'\]$"):
         weight(triangle, Path(("1", "zzz")))
     g = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
     m = Model.from_partial_correlations(g, {("1", "2"): 0.2, ("2", "3"): 0.2})
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(InvalidPathError, match="^'1'--'3' is not an edge of the graph$"):
         weight(m, Path(("1", "3")))
+
+
+def test_single_path_values_are_python_floats():
+    m = random_model(np.random.default_rng(109), 7, 0.6)
+    p = max(enumerate_paths(m.graph, m.vertices[0], m.vertices[-1]), key=len)
+    b = factorize(m, p, kind=Measure.CORRELATION)
+    values = [weight(m, p), partial_weight(m, p), normalized_weight(m, p),
+              inflated_weight_explicit(m, p), partial_inflated_weight_explicit(m, p),
+              *weight_bounds(m, p), b.weight, b.partial_weight, b.inflation,
+              b.endpoint_inflation, b.phi, m.sigma.entry(p.x, p.y)]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 # -- measure scaling (congruence equivariance) -----------------------------------------
