@@ -55,6 +55,12 @@ def _emit(report, args) -> None:
         _print_table(header, rows, args.precision)
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--precision", type=int, default=2,
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-paths", help="rank equal-size paths by inflated-correlation weight")
     p.add_argument("model")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--top", type=int)
+    p.add_argument("--top", type=_non_negative_int)
     p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_rank_paths)

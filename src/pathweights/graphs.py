@@ -117,7 +117,7 @@ class Graph:
         missing = labels - self._vset
         if missing:
             raise UnknownVertexError(sorted(missing))
-        return tuple(v for v in self.vertices if v in labels)
+        return tuple(sorted(labels, key=self._index.__getitem__))
 
     def complement(self, labels: Iterable[str]) -> tuple[str, ...]:
         labels = set(self.require_vertices(labels))
@@ -161,11 +161,6 @@ class Graph:
         mask = np.zeros(len(self.vertices), dtype=bool)
         mask[[self._index[v] for v in labels]] = True
         return mask
-
-    def _route(self, x: int, y: int) -> np.ndarray | None:
-        """Mask of the vertices lying on some simple path between vertices
-        ``x`` and ``y``; None when they are in different components."""
-        return self._blockcut.route(x, y)
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -257,10 +252,13 @@ class _BlockCutTree:
                         queue.append(b)
         self.size = n
 
-    def route(self, x: int, y: int) -> np.ndarray | None:
+    def route(self, x: int, y: int) -> np.ndarray:
+        """Mask of the vertices lying on some simple path between vertices
+        ``x`` and ``y``: none when they are in different components."""
         a, b = self.node_of[x], self.node_of[y]
+        mask = np.zeros(self.size, dtype=bool)
         if self.component[a] != self.component[b]:
-            return None
+            return mask
         on_route = []
         while a != b:
             if self.depth[a] < self.depth[b]:
@@ -268,7 +266,6 @@ class _BlockCutTree:
             on_route.append(a)
             a = self.parent[a]
         on_route.append(a)
-        mask = np.zeros(self.size, dtype=bool)
         mask[np.concatenate([self.blocks[node] for node in on_route if node < len(self.blocks)])] = True
         return mask
 
@@ -395,14 +392,16 @@ def _walk(
     its vertex number ``dist[w]``, which yields exactly the shortest paths, and
     ``max_len`` caps the vertex count. ``edge_values`` is a vertex-indexed
     matrix whose entries along each path are multiplied into ``prods`` (ones
-    without it). Raises PathExplosionError as soon as more than ``cap`` paths
-    end at one vertex.
+    without it). A ``cap`` below 1 is a ValueError before any walking; more
+    than ``cap`` paths ending at one vertex raise PathExplosionError at once.
 
     A level costs a few dozen array operations however narrow it is, so
     levels of at most ``_NARROW_ROWS`` rows (the whole walk on a chain or a
     tree-like route) are expanded row by row in Python instead; both steps
     extend rows in the same order with the same arithmetic.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     n = len(graph.vertices)
     indptr, indices = graph._indptr, graph._indices
     max_len = n if max_len is None else min(max_len, n)
@@ -532,14 +531,11 @@ def _pair_paths(
     The walk is confined to the blocks on the x-y route of the block-cut tree,
     which leaves the result unchanged.
     """
-    route = graph._route(x, y)
-    words = (len(graph.vertices) + 63) // 64
-    if route is None:
-        return _gather([], words)
+    route = graph._blockcut.route(x, y)
     if allowed is not None:
         route &= allowed
     rows = _gather(_walk(graph, x, y, allowed=route, max_len=max_len, cap=cap,
-                         edge_values=edge_values), words)
+                         edge_values=edge_values), (len(graph.vertices) + 63) // 64)
     order = _lex_order(graph, rows.seqs)
     return PathRows(*(field[order] for field in rows))
 
@@ -563,7 +559,7 @@ def enumerate_paths(
     max_len : optional int
         Maximum number of vertices per path (default: all of them).
     cap : int
-        Hard ceiling on the number of paths; exceeding it raises
+        Hard ceiling on the number of paths, at least 1; exceeding it raises
         PathExplosionError instead of truncating.
     """
     if x == y:
@@ -575,8 +571,6 @@ def enumerate_paths(
         if x not in labels or y not in labels:
             raise ValueError("restrict set must contain both endpoints")
         allowed = graph._mask(labels)
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     rows = _pair_paths(graph, graph._index[x], graph._index[y], allowed, max_len, cap)
     return rows.paths(graph)
 

@@ -9,9 +9,10 @@ formulas exist. The canonical computation divides |Sigma_AA| by the
 determinant of the partial covariance |Sigma_AA.B|. When B is the complement
 of A (the default, and every edge measure), |Sigma_AA.B| = 1 / |K_AA|, so the
 factor is |Sigma_AA| |K_AA|: two |A| x |A| determinants and no Schur
-complement. Any other B takes the Schur complement of B. Either route falls
-back to log-determinants where the direct value is not finite or is 0. The
-other forms are kept as a diagnostic record for identity testing.
+complement. Any other B takes the Schur complement of B. The other forms are
+kept as a diagnostic record for identity testing. Every value here is one
+:func:`~pathweights.symmetric.det_product`, which falls back to
+log-determinants where the direct value is not finite or is 0.
 """
 
 from __future__ import annotations
@@ -91,14 +92,12 @@ def inflation_factor_identities(
     def ratio(*terms: tuple[str, int]) -> float:
         return det_product([(*blocks[name], e) for name, e in terms], [dets[name] for name, _ in terms])
 
-    concentration = None
-    if complement_case:
-        concentration = det_product(((m.kappa, a, 1), (m.kappa, b, 1), (m.kappa, None, -1)))
     return InflationIdentities(
         determinant_ratio=ratio(("a", 1), ("b", 1), ("union", -1)),
         partial_ratio=ratio(("a", 1), ("a.b", -1)),
         symmetric_ratio=ratio(("union", 1), ("a.b", -1), ("b.a", -1)),
-        concentration_ratio=concentration,
+        concentration_ratio=det_product(((m.kappa, a, 1), (m.kappa, b, 1), (m.kappa, None, -1)))
+        if complement_case else None,
     )
 
 
@@ -119,7 +118,8 @@ def global_collinearity(
     the inflated correlation matrix.
 
     Both reduce to 1 for a diagonal covariance, and to 1 for the trivial
-    partition {V}.
+    partition {V}. Where the direct ratio overflows or underflows (|Sigma| of a
+    long chain does), it is taken from log-determinants.
     """
     if kind not in ("variance", "partial-variance"):
         raise ValueError(f"kind must be 'variance' or 'partial-variance', got {kind!r}")
@@ -132,13 +132,6 @@ def global_collinearity(
             raise ValueError("partition blocks must be disjoint")
         if set(flat) != set(m.graph.vertices):
             raise ValueError("partition must cover every vertex")
-    det_sigma = m.sigma.det()
     if kind == "variance":
-        prod = 1.0
-        for block in blocks:
-            prod *= m.sigma.det(block)
-        return prod / det_sigma
-    prod = 1.0
-    for block in blocks:
-        prod *= m.kappa.det(block)
-    return det_sigma * prod
+        return det_product([(m.sigma, block, 1) for block in blocks] + [(m.sigma, None, -1)])
+    return det_product([(m.kappa, block, 1) for block in blocks] + [(m.sigma, None, 1)])

@@ -11,7 +11,11 @@ permutation bugs.
 Determinants and inverses go through Cholesky factorization (all matrices in
 scope are positive-definite principal submatrices); the determinant is the
 product of squared pivots, and its logarithm, for blocks whose determinant
-leaves the float range, twice the sum of the log pivots.
+leaves the float range, twice the sum of the log pivots. Every product of
+determinants with each other or with scalars (path weights, their explicit
+forms, inflation factors, global collinearity) goes through
+:func:`det_product`, the one place that falls back to log space where the
+direct product overflows, underflows or divides by 0.
 """
 
 from __future__ import annotations
@@ -110,31 +114,41 @@ def chol_slogdet(a: np.ndarray) -> tuple[float, float]:
         return float(sign), float(logdet)
 
 
-def det_product(factors: Sequence[tuple["SymMatrix", Iterable[str] | None, int]],
-                dets: Sequence[float] | None = None) -> float:
-    """Product of ``|M_LL| ** e`` over the ``(M, L, e)`` factors, e = 1 or -1
-    (L None: all of M), taken left to right from 1.0. ``dets``, when given,
-    holds the factors' determinants, already taken by the caller.
+def det_product(factors: Sequence[tuple], dets: Sequence[float] | None = None) -> float:
+    """Product of ``factors``, left to right from 1.0: the one routine that
+    multiplies determinants together or with scalars.
 
-    Where the direct product is not finite or is 0, or divides by a
-    determinant that underflows to 0 (the blocks of a long path overflow or
-    underflow while their ratio does not), it is taken as
-    sign * exp(sum e log|M_LL|) instead.
+    A factor is ``(M, L, e)``, ``|M_LL| ** e`` with e = 1 or -1 for a
+    :class:`SymMatrix` M (L None: all of M) or for a block M already taken as
+    an array; or ``(v,)``, a run of scalars (edge values, an endpoint scale)
+    reduced left to right from 1.0 on its own, then multiplied in. ``dets``,
+    when given, holds each factor's value, already taken by the caller.
+
+    Where the direct product is not finite, or is 0 with no scalar 0, or
+    divides by a determinant that underflows to 0, it is taken as
+    sign * exp(sum of the log-magnitudes) instead.
     """
+    runs = [list(map(float, f[0])) if len(f) == 1 else None for f in factors]
     if dets is None:
-        dets = [mat.det(labels) for mat, labels, _ in factors]
+        dets = [math.prod(v) if v is not None
+                else f[0].det(f[1]) if isinstance(f[0], SymMatrix) else chol_det(f[0])
+                for v, f in zip(runs, factors)]
     out = 1.0
     try:
-        for d, (_, _, e) in zip(dets, factors):
-            out = out * d if e > 0 else out / d
+        for d, v, f in zip(map(float, dets), runs, factors):
+            out = out / d if v is None and f[2] < 0 else out * d
     except ZeroDivisionError:
-        out = 0.0
-    if out != 0.0 and math.isfinite(out):
+        out = math.nan
+    if math.isfinite(out) and (out != 0.0 or any(0.0 in v for v in runs if v is not None)):
         return out
     sign, log = 1.0, 0.0
-    for mat, labels, e in factors:
-        s, logdet = mat.slogdet(labels)
-        sign, log = sign * s, log + e * logdet
+    with np.errstate(divide="ignore"):
+        for v, f in zip(runs, factors):
+            if v is not None:
+                sign, log = sign * np.prod(np.sign(v)), log + np.log(np.abs(v)).sum()
+            else:
+                s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix) else f[0])
+                sign, log = sign * s, log + f[2] * logdet
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log))
 
@@ -239,10 +253,6 @@ class SymMatrix:
         The determinant of the empty-set block is 1 by convention.
         """
         return chol_det(self._block(labels))
-
-    def slogdet(self, labels: Iterable[str] | None = None) -> tuple[float, float]:
-        """:func:`chol_slogdet` of the principal submatrix on ``labels``."""
-        return chol_slogdet(self._block(labels))
 
     def _block(self, labels: Iterable[str] | None) -> np.ndarray:
         if labels is None:

@@ -32,7 +32,7 @@ import numpy as np
 from .graphs import Path, PathRows, _path_indices
 from .inflation import inflation_factor
 from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import SymMatrix, chol_det, chol_dets, chol_slogdet, det_product
+from .symmetric import SymMatrix, chol_det, chol_dets, det_product
 
 #: Weights at or below this magnitude are treated as zero by sign checks.
 DEFAULT_ZERO_TOL = 1e-12
@@ -54,7 +54,7 @@ class _PathKernel:
     in that order gives. A single path takes its block in storage order.
     Where the direct product is not finite (on long paths |M_PP| can overflow
     while the edge product underflows), or is 0 with no factor 0, the weight
-    is taken in log space instead.
+    is taken by :func:`det_product`, which falls back to log space.
     """
 
     def __init__(self, m: Model, mat: SymMatrix | None = None):
@@ -87,40 +87,34 @@ class _PathKernel:
             out = sign * np.array(dets)[inverse.ravel()] * rows.prods * scale
         scales = np.broadcast_to(scale, out.shape)
         for r in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
-            out[r] = self._log_space(rows.seqs[r, :rows.lengths[r]], scales[r], out[r])
+            out[r] = self.single(rows.seqs[r, :rows.lengths[r]].tolist(), scales[r].item())
         return out
 
     def single(self, seq: list[int], scale: float) -> float:
         """The weight of one path given by vertex indices, without batching."""
-        block = np.array(sorted(self.pos[self.labels[i]] for i in seq))
-        det = chol_det(self.values[block[:, None], block])
-        out = (1.0 if len(seq) % 2 else -1.0) * det * _edge_product(self.kappa, seq) * scale
-        return out if out != 0.0 and math.isfinite(out) else self._log_space(np.array(seq), scale, out)
-
-    def _log_space(self, seq: np.ndarray, scale: float, direct: float) -> float:
-        """One weight as sign * exp(2 sum log L_ii + sum log|k_uv| + log|scale|),
-        for a ``direct`` product that is not finite or is 0."""
-        edges = self.kappa[seq[:-1], seq[1:]]
-        if direct == 0.0 and not (scale and edges.all()):
-            return direct  # a factor is exactly 0, so the direct product is exact
-        idx = sorted(self.pos[self.labels[v]] for v in seq)
-        sign, logdet = chol_slogdet(self.values[np.ix_(idx, idx)])
-        sign *= (1.0 if len(seq) % 2 else -1.0) * np.prod(np.sign(edges)) * np.sign(scale)
-        with np.errstate(divide="ignore", over="ignore"):
-            return float(sign * np.exp(logdet + np.log(np.abs(edges)).sum() + np.log(abs(scale))))
+        idx = np.array(sorted(self.pos[self.labels[i]] for i in seq))
+        block = self.values[idx[:, None], idx]
+        sign, det, prod = (1.0 if len(seq) % 2 else -1.0), chol_det(block), _edge_product(self.kappa, seq)
+        out = sign * det * prod * scale
+        if out != 0.0 and math.isfinite(out):
+            return out
+        return det_product(((block, None, 1), (self.kappa[seq[:-1], seq[1:]],), ((sign, scale),)),
+                           (det, prod, sign * scale))
 
 
 def _edge_product(values: np.ndarray, seq: list[int]) -> float:
     """Product of ``values[u, v]`` along the path ``seq``, left to right from 1.0."""
-    prod = 1.0
-    for u, v in zip(seq, seq[1:]):
-        prod *= values.item(u, v)
-    return prod
+    return math.prod(map(values.item, seq, seq[1:]), start=1.0)
 
 
-def _i_minus_r_det(m: Model, idx: np.ndarray) -> float:
-    """|(I - R)_{idx,idx}| for ascending vertex indices ``idx``, without forming I - R."""
-    return chol_det(np.eye(len(idx)) - m.partial_corr.values[idx[:, None], idx])
+def _edge_run(m: Model, seq: list[int]) -> tuple[list[float]]:
+    """The edge partial correlations along ``seq``, as a :func:`det_product` run."""
+    return (list(map(m.partial_corr.values.item, seq, seq[1:])),)
+
+
+def _i_minus_r(m: Model, idx: np.ndarray) -> np.ndarray:
+    """(I - R)_{idx,idx} for ascending vertex indices ``idx``, without forming I - R."""
+    return np.eye(len(idx)) - m.partial_corr.values[idx[:, None], idx]
 
 
 def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
@@ -141,8 +135,8 @@ def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> fl
     if kind is Measure.INFLATED_CORRELATION:
         return math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y))
     if isinstance(kind, CustomScaling):
-        missing = [v for v in m.vertices if v not in kind.delta]
-        if missing:
+        if not kind.delta.keys() >= m.graph._vset:
+            missing = [v for v in m.vertices if v not in kind.delta]
             raise ValueError(f"custom scaling is missing entries for {missing}")
         return float(kind.delta[x]) * float(kind.delta[y])
     raise TypeError(f"unsupported measure kind: {kind!r}")
@@ -249,19 +243,21 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     correlation matrix times the product of the edge partial correlations.
     Agrees with ``weight(m, path, Measure.INFLATED_CORRELATION)`` up to
     round-off; the two evaluations share no intermediate quantities, which is
-    what makes their agreement a meaningful check.
+    what makes their agreement a meaningful check. Like the weight, it is
+    taken in log space where the direct product overflows or underflows.
     """
     seq = _path_indices(m.graph, path)
     on = np.array(sorted(seq))
-    return chol_det(m.inflated.values[on[:, None], on]) * _edge_product(m.partial_corr.values, seq)
+    return det_product(((m.inflated.values[on[:, None], on], None, 1), _edge_run(m, seq)))
 
 
 def partial_inflated_weight_explicit(m: Model, path: Path) -> float:
     """Closed form of the inflated-correlation weight after adjusting for
     everything off the path: edge partial correlations divided by the
-    determinant of the path block of (I - partial_corr)."""
+    determinant of the path block of (I - partial_corr). Taken in log space
+    where the direct quotient overflows or underflows."""
     seq = _path_indices(m.graph, path)
-    return _edge_product(m.partial_corr.values, seq) / _i_minus_r_det(m, np.array(sorted(seq)))
+    return det_product((_edge_run(m, seq), (_i_minus_r(m, np.array(sorted(seq))), None, -1)))
 
 
 def normalized_weight(m: Model, path: Path) -> float:
@@ -270,7 +266,7 @@ def normalized_weight(m: Model, path: Path) -> float:
     |(I - R)_{PbarPbar}| * prod(r_uv over path edges), with R the partial
     correlations and Pbar the off-path vertices. Equals the inflated-correlation
     weight divided by its sharp bound, the determinant of the inflated
-    correlation matrix.
+    correlation matrix. Taken in log space where the direct product underflows.
     """
     return _normalized(m, _path_indices(m.graph, path))
 
@@ -279,7 +275,7 @@ def _normalized(m: Model, seq: list[int]) -> float:
     """:func:`normalized_weight` of a checked path of vertex indices."""
     off = np.ones(m.sigma.dim, dtype=bool)
     off[seq] = False
-    return _i_minus_r_det(m, np.flatnonzero(off)) * _edge_product(m.partial_corr.values, seq)
+    return det_product(((_i_minus_r(m, np.flatnonzero(off)), None, 1), _edge_run(m, seq)))
 
 
 def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tuple[float, float]:

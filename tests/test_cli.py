@@ -156,6 +156,17 @@ def test_rank_paths_top(capsys):
     assert set(doc["paths"][0]["path"]) == {"poultry", "red_meat", "processed_meat"}
 
 
+def test_rank_paths_top_must_not_be_negative(capsys):
+    # a negative --top would slice paths off the end of the ranking
+    with pytest.raises(SystemExit) as exc:
+        main(["rank-paths", WOMEN, "--vertices", "3", "--top", "-1"])
+    assert exc.value.code == 2
+    assert "--top" in capsys.readouterr().err
+    code, out, _ = run(capsys, "rank-paths", WOMEN, "--vertices", "3", "--top", "0",
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == {"paths": []}
+
+
 # -- edges -----------------------------------------------------------------------------------
 
 

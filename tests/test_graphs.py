@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 from pathweights import (
     Graph,
     InvalidPathError,
+    Model,
     Path,
     PathExplosionError,
     UnknownVertexError,
+    betweenness,
     chords,
+    decompose,
     enumerate_paths,
     is_chordless,
+    rank_paths,
     validate_path,
 )
 
@@ -165,6 +169,21 @@ def test_cap_boundary_exact_fit():
     assert len(enumerate_paths(g, "a", "b", cap=5)) == 5
     with pytest.raises(PathExplosionError):
         enumerate_paths(g, "a", "b", cap=4)
+
+
+def test_cap_below_one_is_rejected_by_every_caller():
+    # "d" is isolated: the a-d decomposition has no path to walk, and still
+    # checks the cap
+    g = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    m = Model.from_partial_correlations(g, {("a", "b"): 0.3, ("b", "c"): 0.2})
+    calls = [lambda: enumerate_paths(g, "a", "b", cap=0),
+             lambda: decompose(m, "a", "b", cap=0),
+             lambda: decompose(m, "a", "d", cap=0),
+             lambda: betweenness(m, cap=0),
+             lambda: rank_paths(m, 2, cap=0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            call()
 
 
 @settings(max_examples=60, deadline=None)

@@ -214,6 +214,21 @@ def test_identities_on_a_1200_vertex_chain():
         assert v == pytest.approx(closed, rel=1e-9)
 
 
+def test_global_collinearity_on_a_1200_vertex_chain():
+    # |Sigma| leaves the float range: both kinds come from log-determinants
+    # rather than inf / inf = nan or a product overflowing to inf
+    m = rescaled_chain()
+    logdet_sigma = np.linalg.slogdet(m.sigma.values)[1]
+    oracle = {"variance": np.log(m.sigma.diagonal()).sum() - logdet_sigma,
+              "partial-variance": logdet_sigma + np.log(m.kappa.diagonal()).sum()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = {kind: global_collinearity(m, kind) for kind in oracle}
+    for kind, value in values.items():
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.exp(oracle[kind]), rel=1e-9)
+
+
 def test_identities_take_each_determinant_once(monkeypatch):
     # five Sigma blocks (A, B, A u B, A.B, B.A) and three K blocks (A, B, all)
     calls = []

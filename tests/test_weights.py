@@ -422,6 +422,25 @@ def test_partial_inflated_explicit_matches_partial_weight():
         )
 
 
+@pytest.mark.parametrize("n", [1200, 1199])
+def test_explicit_forms_on_a_long_chain_match_the_kernel(n):
+    # |varrho_PP| overflows while the edge product underflows: the explicit
+    # forms go to log space as the kernel does, rather than giving 0
+    m = rescaled_chain()
+    p = Path(m.vertices[:n])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        explicit = inflated_weight_explicit(m, p)
+        partial_explicit = partial_inflated_weight_explicit(m, p)
+        kernel = weight(m, p, Measure.INFLATED_CORRELATION)
+        partial_kernel = partial_weight(m, p, kind=Measure.INFLATED_CORRELATION)
+    assert kernel != 0.0 and partial_kernel != 0.0
+    # abs=0: at about 1e-243, the default absolute tolerance would pass a 0
+    assert explicit == pytest.approx(kernel, rel=1e-9, abs=0.0)
+    assert partial_explicit == pytest.approx(partial_kernel, rel=1e-9, abs=0.0)
+
+
+
 # -- normalized weight and bounds ------------------------------------------------------------
 
 
