@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_PATH_CAP, PathRows, _gather, _lex_order, _walk
+from .graphs import DEFAULT_PATH_CAP, PathRows, _gather, _walk
 from .model import Model
 from .weights import _PathKernel
 
@@ -99,7 +99,13 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
         # one walk from x serves every pair (x, y) with y later in vertex order
         rows = _gather(_walk(graph, x, dist=dist, cap=cap, edge_values=kernel.kappa), (n + 63) // 64)
         last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
-        order = _lex_order(graph, rows.seqs, last)
+        # Group the rows by target, keeping the walk's order within a group. A
+        # vertex set has one length, and the walk yields each length's rows in
+        # label order, so the first row of a set within the first target that
+        # reaches it is the label-first row there, as in a full label sort:
+        # the kernel takes the same blocks. The sums below are fsum, which no
+        # order changes.
+        order = np.argsort(last, kind="stable")
         order = order[last[order] > x]
         rows, last = PathRows(*(field[order] for field in rows)), last[order]
         wts = np.abs(kernel(rows, d[x] * d[last]))

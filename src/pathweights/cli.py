@@ -56,14 +56,18 @@ def _emit(report, args) -> None:
 
 
 def _non_negative_int(text: str) -> int:
-    if int(text) < 0:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # not an integer: rejected with the same message
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return int(text)
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--precision", type=int, default=2,
+    parser.add_argument("--precision", type=_non_negative_int, default=2,
                         help="decimal places for human tables (default 2)")
 
 

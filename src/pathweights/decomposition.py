@@ -221,9 +221,12 @@ def rank_paths(
                 found.append((seqs[forward], keys[forward], prods[forward]))
     rows = _gather(found, (len(g.vertices) + 63) // 64)
     del found
-    # weigh in the order of vertex pairs, as ``combinations(vertices, 2)`` lists them
-    ends = rows.seqs[:, [0, -1]]
-    order = _lex_order(g, rows.seqs, ends.min(axis=1), ends.max(axis=1))
+    # Weigh in the order of vertex pairs, as ``combinations(vertices, 2)`` lists
+    # them, each pair's paths in label order. A pair's rows all come from the
+    # walk from its label-first end, which yields them in label order, so a
+    # stable grouping by pair keeps them so.
+    ends = rows.seqs[:, [0, -1]].astype(np.intp)
+    order = np.argsort(ends.min(axis=1) * len(g.vertices) + ends.max(axis=1), kind="stable")
     rows = PathRows(*(field[order] for field in rows))
     kdiag = np.diagonal(kernel.kappa)
     scale = np.sqrt(kdiag[rows.seqs[:, 0]] * kdiag[rows.seqs[:, -1]])

@@ -22,6 +22,10 @@ class UnknownVertexError(PathWeightsError, KeyError):
         self.missing = tuple(missing)
         super().__init__(f"unknown vertex label(s): {', '.join(map(repr, self.missing))}")
 
+    def __str__(self) -> str:
+        # the plain message: KeyError's own __str__ would repr it in quotes
+        return self.args[0]
+
 
 class NotAdaptedError(PathWeightsError):
     """Concentration matrix has a non-negligible entry on a non-edge.

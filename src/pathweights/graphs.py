@@ -384,8 +384,12 @@ def _walk(
     """Simple paths from vertex index ``src``, level by level.
 
     Yields ``(seqs, keys, prods)`` blocks of paths of one length each, in the
-    row format of :class:`PathRows` (no padding); rows within a block are in
-    lexicographic label order. With ``dst`` set, only the paths ending there
+    row format of :class:`PathRows` (no padding). The rows of each length are
+    in lexicographic label order across all of that length's blocks, though
+    blocks of different lengths interleave: chunks are expanded depth first,
+    in order, and a row's extensions follow its last vertex's neighbours in
+    label order. ``betweenness`` and ``rank_paths`` rely on this order in
+    place of a sort. With ``dst`` set, only the paths ending there
     are yielded and they are not extended; otherwise every row is a path to
     its last vertex and is yielded and extended. ``allowed`` masks the vertices
     a path may visit, ``dist`` (when given) only lets a path reach vertex w as
@@ -443,39 +447,53 @@ def _walk(
     if not level or length >= max_len:
         return
 
-    # wide levels: numpy, in chunks of at most _CHUNK_ROWS rows; vertex i is
-    # bit[i] of word word[i] of a key
-    word = np.arange(n) >> 6
-    bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
+    # wide levels: numpy, in chunks of at most _CHUNK_ROWS rows. Per CSR
+    # slot, its target is bit slot_bit of word slot_word of a key; a target
+    # the walk may not enter takes the source's bit instead, which every key
+    # has, so the on-path test rejects it.
+    target = np.where(enter[indices], indices, src)
+    slot_word = target >> 6
+    slot_bit = np.left_shift(np.uint64(1), (target & 63).astype(np.uint64))
+    slot_dist = None if dist is None else dist[indices]
+    slot_hit = indices == dst
+    degrees = np.diff(indptr)
+
+    def extend(seqs, keys, prods, r, at):
+        """Rows ``r`` extended along CSR slots ``at``."""
+        grown = np.empty((len(r), seqs.shape[1] + 1), dtype=seqs.dtype)
+        grown[:, :-1] = seqs[r]
+        grown[:, -1] = indices[at]
+        keys = keys[r]  # a new C-ordered array, so reshape gives a view to write through
+        keys.reshape(-1)[np.arange(len(r)) * words + slot_word[at]] |= slot_bit[at]
+        return grown, keys, prods[r] * along[at]
+
     stack = [_rows_array(level, words)]
     while stack:
         seqs, keys, prods = stack.pop()
         length = seqs.shape[1]
         last = seqs[:, -1]
-        start = indptr[last]
-        degree = indptr[last + 1] - start
+        degree = degrees[last]
         r = np.repeat(np.arange(len(last)), degree)
-        at = np.arange(len(r)) + np.repeat(start - np.cumsum(degree) + degree, degree)
-        w = indices[at]
-        free = enter[w] & ((keys[r, word[w]] & bit[w]) == 0)
+        at = np.arange(len(r)) + np.repeat(indptr[last] - np.cumsum(degree) + degree, degree)
+        free = (keys.reshape(-1)[r * words + slot_word[at]] & slot_bit[at]) == 0
         if dist is not None:
-            free &= dist[w] == length
-        r, w, at = r[free], w[free], at[free]
-        seqs = np.concatenate((seqs[r], w[:, None]), axis=1)
-        keys = keys[r]
-        keys[np.arange(len(r)), word[w]] |= bit[w]
-        prods = prods[r] * along[at]
+            free &= slot_dist[at] == length
+        r, at = r[free], at[free]
+        grow = length + 1 < max_len
         if dst < 0:
-            done = (seqs, keys, prods)
+            done = grown = extend(seqs, keys, prods, r, at)
         else:
-            hit = w == dst
-            done = (seqs[hit], keys[hit], prods[hit])
-            if len(done[0]):
-                go = ~hit
-                seqs, keys, prods = seqs[go], keys[go], prods[go]
-        if len(done[0]):
+            # split the slots into hits and the rest first, then build each part once
+            hit = slot_hit[at]
+            done = None
+            if hit.any():
+                done = extend(seqs, keys, prods, r[hit], at[hit])
+                r, at = r[~hit], at[~hit]
+            grown = extend(seqs, keys, prods, r, at) if grow else None
+        if done is not None and len(done[0]):
             yield emitted(done)
-        if length + 1 < max_len and len(seqs):
+        if grow and len(grown[0]):
+            seqs, keys, prods = grown
             stack += [(seqs[i:i + _CHUNK_ROWS], keys[i:i + _CHUNK_ROWS], prods[i:i + _CHUNK_ROWS])
                       for i in reversed(range(0, len(seqs), _CHUNK_ROWS))]
 
@@ -512,9 +530,26 @@ def _lex_order(graph: Graph, seqs: np.ndarray, *first: np.ndarray) -> np.ndarray
 
     Comparing padded rows is exact here: two distinct simple paths to the same
     target differ before either one ends.
+
+    The label ranks are packed as digits before sorting: rank + 1 (0 for the
+    -1 padding) is one base-(n + 1) digit, and each int64 word holds as many
+    consecutive columns as fit in 62 bits (17 for n = 11), so comparing the
+    words in turn compares the columns in turn. The words are built column by
+    column, without a rank matrix of the rows' size.
     """
-    ranks = graph._rank[seqs]
-    return np.lexsort((*ranks.T[::-1], *first[::-1]))
+    base = len(graph.vertices) + 1
+    per_word = 1
+    while per_word < seqs.shape[1] and base ** (per_word + 1) <= 1 << 62:
+        per_word += 1
+    digit = (graph._rank + 1).astype(np.int64)
+    words = []
+    for lo in range(0, seqs.shape[1], per_word):
+        word = np.zeros(len(seqs), dtype=np.int64)
+        for col in range(lo, min(lo + per_word, seqs.shape[1])):
+            word *= base
+            word += digit[seqs[:, col]]
+        words.append(word)
+    return np.lexsort((*words[::-1], *first[::-1]))
 
 
 def _pair_paths(

@@ -87,7 +87,7 @@ def inflation_factor_identities(
     sigma = m.sigma
     blocks = {"a": (sigma, a), "b": (sigma, b), "union": (sigma, union),
               "a.b": (sigma.schur_complement(a, b), None), "b.a": (sigma.schur_complement(b, a), None)}
-    dets = {name: mat.det(labels) for name, (mat, labels) in blocks.items()}
+    dets = {name: mat._det(labels) for name, (mat, labels) in blocks.items()}
 
     def ratio(*terms: tuple[str, int]) -> float:
         return det_product([(*blocks[name], e) for name, e in terms], [dets[name] for name, _ in terms])

@@ -21,7 +21,7 @@ direct product overflows, underflows or divides by 0.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg as sla
@@ -56,7 +56,27 @@ def chol_det(a: np.ndarray) -> float:
     Cholesky (product of squared pivots) with an LU fallback for
     symmetric-indefinite input, so the function is total.
     """
-    return chol_dets(a[None])[0]
+    return _factored_det(a).value
+
+
+class _Det(NamedTuple):
+    """A determinant taken by :func:`chol_det`, with the diagonal of the
+    Cholesky factor it came from (None for the closed forms and for LU)."""
+
+    value: float
+    pivots: np.ndarray | None
+
+
+def _factored_det(a: np.ndarray) -> _Det:
+    """:func:`chol_det` of one matrix, keeping the pivots for a log-determinant."""
+    n = len(a)
+    if n <= 3:
+        return _Det(_closed_form_det(a.ravel().tolist(), n) if n else 1.0, None)
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return _Det(float(np.linalg.det(a)), None)
+    return _Det(_square(math.prod(pivots.tolist())), pivots)
 
 
 def chol_dets(blocks: np.ndarray) -> list[float]:
@@ -72,18 +92,16 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
     the bits it gets alone.
     """
     k, n = blocks.shape[:2]
+    if k == 1:  # on Python floats: for one block, array calls cost more than the arithmetic
+        return [_factored_det(blocks[0]).value]
     if n == 0:
         return [1.0] * k
     if n <= 3:
-        if k == 1:  # on Python floats: for one block, array calls cost more than the arithmetic
-            return [_closed_form_det(blocks.ravel().tolist(), n)]
         return _closed_form_det(blocks.reshape(k, n * n).T, n).tolist()
     try:
         factors = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        if k == 1:
-            return [float(np.linalg.det(blocks[0]))]
-        return [chol_dets(b[None])[0] for b in blocks]
+        return [_factored_det(b).value for b in blocks]
     if k < n:
         prods = [math.prod(np.diagonal(f).tolist()) for f in factors]
     else:
@@ -114,7 +132,7 @@ def chol_slogdet(a: np.ndarray) -> tuple[float, float]:
         return float(sign), float(logdet)
 
 
-def det_product(factors: Sequence[tuple], dets: Sequence[float] | None = None) -> float:
+def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float:
     """Product of ``factors``, left to right from 1.0: the one routine that
     multiplies determinants together or with scalars.
 
@@ -122,20 +140,24 @@ def det_product(factors: Sequence[tuple], dets: Sequence[float] | None = None) -
     :class:`SymMatrix` M (L None: all of M) or for a block M already taken as
     an array; or ``(v,)``, a run of scalars (edge values, an endpoint scale)
     reduced left to right from 1.0 on its own, then multiplied in. ``dets``,
-    when given, holds each factor's value, already taken by the caller.
+    when given, holds each factor's value, already taken by the caller: a
+    run's product, and a determinant as :func:`_factored_det` gives it.
 
     Where the direct product is not finite, or is 0 with no scalar 0, or
     divides by a determinant that underflows to 0, it is taken as
-    sign * exp(sum of the log-magnitudes) instead.
+    sign * exp(sum of the log-magnitudes) instead. A determinant's log comes
+    from the Cholesky pivots that gave its value; only a block that had none
+    (closed forms, LU) is factored for it.
     """
     runs = [list(map(float, f[0])) if len(f) == 1 else None for f in factors]
     if dets is None:
         dets = [math.prod(v) if v is not None
-                else f[0].det(f[1]) if isinstance(f[0], SymMatrix) else chol_det(f[0])
+                else f[0]._det(f[1]) if isinstance(f[0], SymMatrix) else _factored_det(f[0])
                 for v, f in zip(runs, factors)]
     out = 1.0
     try:
-        for d, v, f in zip(map(float, dets), runs, factors):
+        for d, v, f in zip(dets, runs, factors):
+            d = float(d) if v is not None else d.value
             out = out / d if v is None and f[2] < 0 else out * d
     except ZeroDivisionError:
         out = math.nan
@@ -143,11 +165,14 @@ def det_product(factors: Sequence[tuple], dets: Sequence[float] | None = None) -
         return out
     sign, log = 1.0, 0.0
     with np.errstate(divide="ignore"):
-        for v, f in zip(runs, factors):
+        for d, v, f in zip(dets, runs, factors):
             if v is not None:
                 sign, log = sign * np.prod(np.sign(v)), log + np.log(np.abs(v)).sum()
             else:
-                s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix) else f[0])
+                if d.pivots is not None:  # the factor that gave the value, as chol_slogdet takes it
+                    s, logdet = 1.0, 2.0 * float(np.log(d.pivots).sum())
+                else:
+                    s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix) else f[0])
                 sign, log = sign * s, log + f[2] * logdet
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log))
@@ -252,7 +277,11 @@ class SymMatrix:
 
         The determinant of the empty-set block is 1 by convention.
         """
-        return chol_det(self._block(labels))
+        return self._det(labels).value
+
+    def _det(self, labels: Iterable[str] | None = None) -> _Det:
+        """:meth:`det` with the pivots of its Cholesky factor, as :func:`_factored_det` gives it."""
+        return _factored_det(self._block(labels))
 
     def _block(self, labels: Iterable[str] | None) -> np.ndarray:
         if labels is None:

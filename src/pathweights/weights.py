@@ -32,7 +32,7 @@ import numpy as np
 from .graphs import Path, PathRows, _path_indices
 from .inflation import inflation_factor
 from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import SymMatrix, chol_det, chol_dets, det_product
+from .symmetric import SymMatrix, _factored_det, chol_dets, det_product
 
 #: Weights at or below this magnitude are treated as zero by sign checks.
 DEFAULT_ZERO_TOL = 1e-12
@@ -49,7 +49,8 @@ class _PathKernel:
     per call) evaluates one determinant per distinct set, batched through a
     stacked Cholesky, and reuses it for every later path on that set. The
     batched block is taken in the ``frozenset`` order of the labels of the
-    first path that reaches the set, so rows must arrive in the caller's
+    set's first row: its first row in the first call that meets the set, in
+    the order the rows are given. So rows must arrive in the caller's
     visiting order: every weight is then bit for bit what evaluating each path
     in that order gives. A single path takes its block in storage order.
     Where the direct product is not finite (on long paths |M_PP| can overflow
@@ -94,8 +95,9 @@ class _PathKernel:
         """The weight of one path given by vertex indices, without batching."""
         idx = np.array(sorted(self.pos[self.labels[i]] for i in seq))
         block = self.values[idx[:, None], idx]
-        sign, det, prod = (1.0 if len(seq) % 2 else -1.0), chol_det(block), _edge_product(self.kappa, seq)
-        out = sign * det * prod * scale
+        sign, det = (1.0 if len(seq) % 2 else -1.0), _factored_det(block)
+        prod = _edge_product(self.kappa, seq)
+        out = sign * det.value * prod * scale
         if out != 0.0 and math.isfinite(out):
             return out
         return det_product(((block, None, 1), (self.kappa[seq[:-1], seq[1:]],), ((sign, scale),)),

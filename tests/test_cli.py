@@ -121,6 +121,12 @@ def test_decompose_unknown_vertex(capsys):
     assert "pizza" in err
 
 
+def test_unknown_vertex_message_is_not_quoted(capsys):
+    code, _, err = run(capsys, "decompose", WOMEN, "soup", "nosuch")
+    assert code == 1
+    assert err == "error: unknown vertex label(s): 'nosuch'\n"
+
+
 # -- centrality --------------------------------------------------------------------------
 
 
@@ -165,6 +171,22 @@ def test_rank_paths_top_must_not_be_negative(capsys):
     code, out, _ = run(capsys, "rank-paths", WOMEN, "--vertices", "3", "--top", "0",
                        "--format", "json")
     assert code == 0 and json.loads(out) == {"paths": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", WOMEN], ["matrices", WOMEN], ["decompose", WOMEN, "soup", "pizza"],
+    ["centrality", WOMEN], ["rank-paths", WOMEN, "--vertices", "3"], ["edges", WOMEN],
+    ["fit", "sample.csv", WOMEN, "fitted.model"], ["mtp2", WOMEN],
+], ids=lambda argv: argv[0])
+def test_precision_must_not_be_negative(capsys, argv):
+    # a negative precision used to print part of the output, then fail formatting
+    for value in ("-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--precision", value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --precision: must be a non-negative integer, got {value}" in out.err
 
 
 # -- edges -----------------------------------------------------------------------------------

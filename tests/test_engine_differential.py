@@ -16,10 +16,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pathweights import Measure, betweenness, decompose, enumerate_paths, rank_paths
+from pathweights import Graph, Measure, betweenness, decompose, enumerate_paths, graphs, rank_paths
 from pathweights.symmetric import chol_det
 
-from conftest import random_model
+from conftest import random_model, vertex_names
 
 KINDS = (Measure.COVARIANCE, Measure.CORRELATION, Measure.INFLATED_CORRELATION)
 
@@ -133,3 +133,52 @@ def test_engine_matches_reference_bitwise(i):
                 for p in by_size.get(size, [])]
         want.sort(key=lambda item: (-abs(item[1]), item[0]))
         assert [(p.sequence, w) for p, w in rank_paths(rebuild(), size)] == want
+
+
+def dense_p13():
+    """A p=13 model (23 edges, 13,765 paths) whose vertex order is not its label order."""
+    rng = np.random.default_rng([13, 28])
+    names = [str(v) for v in rng.permutation(vertex_names(13))]
+    edges = [(names[i], names[j]) for i in range(13) for j in range(i + 1, 13) if rng.random() < 0.28]
+    return random_model(rng, 13, 0.0, graph=Graph(names, edges))
+
+
+def engine_outputs(m):
+    rebuild = lambda: type(m)(m.graph, m.sigma, kappa=m.kappa)  # fresh model per call
+    out = [[(r.betweenness, r.normalized) for r in table.rows] + list(table.skipped_pairs)
+           for table in (betweenness(rebuild(), mode=mode) for mode in ("all-paths", "shortest-paths"))]
+    out += [[(p.sequence, w) for p, w in rank_paths(rebuild(), size)]
+            for size in range(2, len(m.vertices) + 1)]
+    model = rebuild()
+    for x, y in combinations(m.vertices, 2):
+        for kind, restrict in ((Measure.COVARIANCE, None),
+                               (Measure.INFLATED_CORRELATION, [x, y, *m.vertices[::2]])):
+            report = decompose(model, x, y, kind=kind, restrict=restrict)
+            out.append([(e.path.sequence, e.weight, e.share) for e in report.entries] + [report.residual])
+    return out
+
+
+def assert_label_order_per_length(g, blocks):
+    by_length = {}
+    for seqs, _, _ in blocks:
+        by_length.setdefault(seqs.shape[1], []).extend(map(tuple, g._rank[seqs].tolist()))
+    for rows in by_length.values():
+        assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("m", CORPUS[::6] + [dense_p13()], ids=lambda m: f"p{len(m.vertices)}")
+def test_wide_chunked_walk_gives_the_same_results(m, monkeypatch):
+    # The corpus is small enough that most walks never leave the narrow step.
+    # Forcing every level wide, in chunks of 5 rows, must change no output,
+    # since betweenness and rank_paths rely on the walk's order: each length's
+    # rows arrive in label order across all of its blocks.
+    want = engine_outputs(m)
+    monkeypatch.setattr(graphs, "_NARROW_ROWS", 0)
+    monkeypatch.setattr(graphs, "_CHUNK_ROWS", 5)
+    assert engine_outputs(m) == want
+    g, n = m.graph, len(m.vertices)
+    for x in range(n):
+        assert_label_order_per_length(g, graphs._walk(g, x))
+        for y in range(n):
+            if y != x:
+                assert_label_order_per_length(g, graphs._walk(g, x, y))

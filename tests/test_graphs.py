@@ -18,6 +18,7 @@ from pathweights import (
     rank_paths,
     validate_path,
 )
+from pathweights.graphs import _lex_order
 
 from conftest import random_graph
 
@@ -267,3 +268,26 @@ def test_bfs_distances():
     g = chain(4)
     assert g.bfs_distances("1") == {"1": 0, "2": 1, "3": 2, "4": 3}
     assert "3" not in g.bfs_distances("1", restrict=["1", "2"])
+
+
+# -- row ordering -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, width", [(3, 40), (11, 11), (64, 30), (200, 25), (1200, 40)])
+def test_lex_order_matches_lexsort_of_the_rank_columns(n, width):
+    # n = 1200 packs 6 columns per word, so keys span several words
+    rng = np.random.default_rng([n, width])
+    names = [f"u{i:04d}" for i in rng.permutation(n)]  # label order is not vertex order
+    g = Graph(names)
+    rows = 500
+    seqs = rng.integers(0, n, size=(rows, width), dtype=np.int32)
+    share = rng.integers(0, rows, size=rows)  # shared prefixes make later columns decide
+    cut = rng.integers(0, width, size=rows)
+    for i in range(rows):
+        seqs[i, :cut[i]] = seqs[share[i], :cut[i]]
+    lengths = rng.integers(1, width + 1, size=rows)
+    seqs[np.arange(width) >= lengths[:, None]] = -1
+    ranks = g._rank[seqs]
+    assert np.array_equal(_lex_order(g, seqs), np.lexsort(ranks.T[::-1]))
+    first = (rng.integers(0, 3, size=rows), -rng.integers(0, 2, size=rows) / 3.0)
+    assert np.array_equal(_lex_order(g, seqs, *first), np.lexsort((*ranks.T[::-1], *first[::-1])))

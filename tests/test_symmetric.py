@@ -105,6 +105,13 @@ def test_entry_unknown_label():
         assert info.value.missing == ("zzz",)
 
 
+def test_unknown_vertex_error_prints_its_plain_message():
+    # a KeyError would print its message in quotes
+    exc = UnknownVertexError(["zzz", "q"])
+    assert isinstance(exc, KeyError) and exc.missing == ("zzz", "q")
+    assert str(exc) == "unknown vertex label(s): 'zzz', 'q'"
+
+
 def test_det_unknown_label():
     with pytest.raises(UnknownVertexError):
         sym(np.eye(2)).det(["1", "zzz"])

@@ -21,6 +21,7 @@ from pathweights import (
     edge_measures,
     enumerate_paths,
     factorize,
+    global_collinearity,
     inflated_weight_explicit,
     inflation_factor,
     is_chordless,
@@ -225,6 +226,28 @@ def test_inflation_on_a_1199_vertex_path_of_the_chain():
     assert math.isfinite(closed) and math.isfinite(schur)
     assert closed == pytest.approx(schur, rel=1e-9)
     assert closed > 1.0
+
+
+def test_log_space_fallback_reuses_the_cholesky_factor(monkeypatch):
+    # the 1,200 x 1,200 blocks leave the float range, so every call below falls
+    # back to log-determinants; they come from the factor that gave the value
+    m = rescaled_chain()
+    p = Path(m.vertices)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape[-1]) or cholesky(a))
+
+    def big_factorizations(call):
+        factored.clear()
+        value = call()
+        assert math.isfinite(value) and value != 0.0
+        return factored.count(1200)
+
+    assert big_factorizations(lambda: weight(m, p)) == 1
+    assert big_factorizations(lambda: global_collinearity(m)) == 1
+    assert big_factorizations(lambda: global_collinearity(m, "partial-variance")) == 1
+    # one batched factor in the kernel, then one for the weight taken alone
+    assert big_factorizations(lambda: decompose(m, p.x, p.y).entries[0].weight) <= 2
 
 
 def test_partial_weight_needs_path_inside_restriction(triangle):
