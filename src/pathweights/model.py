@@ -104,9 +104,10 @@ class Model:
         r = -k / np.outer(dk, dk)
         np.fill_diagonal(r, 0.0)
         ds = np.sqrt(sigma.diagonal())
-        self.partial_corr = SymMatrix(graph.vertices, r)
-        self.omega = SymMatrix(graph.vertices, sigma.values / np.outer(ds, ds))
-        self.inflated = SymMatrix(graph.vertices, sigma.values * np.outer(dk, dk))
+        # exactly symmetric: an entry and its mirror come from the same operands
+        self.partial_corr = SymMatrix._derived(graph.vertices, r)
+        self.omega = SymMatrix._derived(graph.vertices, sigma.values / np.outer(ds, ds))
+        self.inflated = SymMatrix._derived(graph.vertices, sigma.values * np.outer(dk, dk))
         self._inflated_det = chol_det(self.inflated.values)
 
     def _check_adapted(self) -> None:

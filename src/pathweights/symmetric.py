@@ -16,15 +16,27 @@ determinants with each other or with scalars (path weights, their explicit
 forms, inflation factors, global collinearity) goes through
 :func:`det_product`, the one place that falls back to log space where the
 direct product overflows, underflows or divides by 0.
+
+Inverses and Schur complements factor and solve with LAPACK's dpotrf and
+dpotrs from scipy's compiled wrapper ``scipy/linalg/_flapack``, loaded from
+its file: the same calls, with the same arguments, as
+``scipy.linalg.cho_factor``/``cho_solve``, so every value has their bits,
+without the package init of ``scipy.linalg``, which is most of the start-up
+of a fresh process (its array-API layer imports ``numpy.f2py`` and
+``numpy.testing``). numpy's triangular solves round differently, so
+replacing the wrapper with numpy waits for the golden CLI outputs to be
+re-recorded (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import InvalidMatrixError, NotPositiveDefiniteError, UnknownVertexError
 
@@ -33,6 +45,48 @@ DEFAULT_PIVOT_TOL = 1e-12
 
 #: Relative tolerance for accepting nearly-symmetric input before averaging.
 DEFAULT_SYMMETRY_TOL = 1e-12
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper, loaded from its file under the installed
+    scipy directory; neither ``scipy`` nor ``scipy.linalg`` is imported. It is
+    registered in ``sys.modules`` under its own name, so a later import of
+    ``scipy.linalg`` in the process uses this same module."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed: its LAPACK wrapper is needed")
+    stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK wrapper not found: no {stem}"
+                      f"{{{','.join(importlib.machinery.EXTENSION_SUFFIXES)}}}")
+
+
+_flapack = _load_flapack()
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_factor(a, lower=True)[0]``: the lower Cholesky factor
+    of a finite symmetric ``a``, its strict upper triangle left as in ``a``."""
+    c, info = _flapack.dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument on entry to \"POTRF\".")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((c, True), b)``: solve A x = b for a 2-D ``b``,
+    given the factor ``c`` of A from :func:`_cho_factor`."""
+    x, info = _flapack.dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def _closed_form_det(e, n: int):
@@ -61,17 +115,19 @@ def chol_det(a: np.ndarray) -> float:
 
 class _Det(NamedTuple):
     """A determinant taken by :func:`chol_det`, with the diagonal of the
-    Cholesky factor it came from (None for the closed forms and for LU)."""
+    Cholesky factor it came from (None for the closed forms and for LU), and
+    whether a closed form (n <= 3) gave it."""
 
     value: float
     pivots: np.ndarray | None
+    closed: bool = False
 
 
 def _factored_det(a: np.ndarray) -> _Det:
     """:func:`chol_det` of one matrix, keeping the pivots for a log-determinant."""
     n = len(a)
     if n <= 3:
-        return _Det(_closed_form_det(a.ravel().tolist(), n) if n else 1.0, None)
+        return _Det(_closed_form_det(a.ravel().tolist(), n) if n else 1.0, None, True)
     try:
         pivots = np.diagonal(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
@@ -146,8 +202,9 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
     Where the direct product is not finite, or is 0 with no scalar 0, or
     divides by a determinant that underflows to 0, it is taken as
     sign * exp(sum of the log-magnitudes) instead. A determinant's log comes
-    from the Cholesky pivots that gave its value; only a block that had none
-    (closed forms, LU) is factored for it.
+    from the Cholesky pivots that gave its value, or from the value of a
+    closed form that is finite and not 0; only a block that had neither (LU,
+    or a closed form at 0 or out of range) is factored for it.
     """
     runs = [list(map(float, f[0])) if len(f) == 1 else None for f in factors]
     if dets is None:
@@ -171,6 +228,8 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
             else:
                 if d.pivots is not None:  # the factor that gave the value, as chol_slogdet takes it
                     s, logdet = 1.0, 2.0 * float(np.log(d.pivots).sum())
+                elif d.closed and d.value != 0.0 and math.isfinite(d.value):
+                    s, logdet = math.copysign(1.0, d.value), math.log(abs(d.value))
                 else:
                     s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix) else f[0])
                 sign, log = sign * s, log + f[2] * logdet
@@ -211,7 +270,22 @@ class SymMatrix:
                 raise InvalidMatrixError(
                     f"matrix is not symmetric: max |a - a.T| = {asym:.3e}"
                 )
-        a = (a + a.T) / 2.0
+        self._set(labels, (a + a.T) / 2.0)
+
+    @classmethod
+    def _derived(cls, labels: tuple[str, ...], a: np.ndarray) -> "SymMatrix":
+        """A matrix derived from checked ones and exactly symmetric by
+        construction: ``labels`` unique and ``a`` a float array of their shape,
+        owned by the new matrix. Only the finiteness check is kept (an inverse
+        can overflow); the symmetry check and the averaging, which would leave
+        every entry as it is, are skipped."""
+        if not np.all(np.isfinite(a)):
+            raise InvalidMatrixError("matrix entries must be finite")
+        out = cls.__new__(cls)
+        out._set(labels, a)
+        return out
+
+    def _set(self, labels: tuple[str, ...], a: np.ndarray) -> None:
         a.flags.writeable = False
         self.labels = labels
         self.values = a
@@ -294,11 +368,11 @@ class SymMatrix:
         if self.dim == 0:
             return self
         try:
-            factor = sla.cho_factor(self.values, lower=True)
+            factor = _cho_factor(self.values)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-        inv = sla.cho_solve(factor, np.eye(self.dim))
-        return SymMatrix(self.labels, (inv + inv.T) / 2.0)
+        inv = _cho_solve(factor, np.eye(self.dim))
+        return SymMatrix._derived(self.labels, (inv + inv.T) / 2.0)
 
     def schur_complement(self, a_labels: Iterable[str], b_labels: Iterable[str]) -> "SymMatrix":
         """Partial covariance block: M[A,A] - M[A,B] M[B,B]^{-1} M[B,A].
@@ -313,20 +387,20 @@ class SymMatrix:
             raise ValueError(
                 f"A and B must be disjoint; both contain {sorted(self.labels[i] for i in overlap)}"
             )
-        a_names = [self.labels[i] for i in a_idx]
+        a_names = tuple(self.labels[i] for i in a_idx)
         if not b_idx:
             return SymMatrix(a_names, self.values[np.ix_(a_idx, a_idx)])
         saa = self.values[np.ix_(a_idx, a_idx)]
         sab = self.values[np.ix_(a_idx, b_idx)]
         sbb = self.values[np.ix_(b_idx, b_idx)]
         try:
-            factor = sla.cho_factor(sbb, lower=True)
+            factor = _cho_factor(sbb)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"conditioning block is not positive definite: {exc}"
             ) from exc
-        out = saa - sab @ sla.cho_solve(factor, sab.T)
-        return SymMatrix(a_names, (out + out.T) / 2.0)
+        out = saa - sab @ _cho_solve(factor, sab.T)
+        return SymMatrix._derived(a_names, (out + out.T) / 2.0)
 
     def __repr__(self) -> str:
         return f"SymMatrix(labels={self.labels!r}, dim={self.dim})"

@@ -1,10 +1,14 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from pathweights import (
     InvalidMatrixError,
@@ -12,9 +16,10 @@ from pathweights import (
     SymMatrix,
     UnknownVertexError,
 )
-from pathweights.symmetric import chol_det, chol_dets, chol_slogdet, det_product
+from pathweights.symmetric import (_cho_factor, _cho_solve, chol_det, chol_dets, chol_slogdet,
+                                  det_product)
 
-from conftest import oracle_schur
+from conftest import oracle_schur, random_model
 
 
 def sym(values, labels=None):
@@ -289,11 +294,16 @@ def test_hadamard_sandwich():
 # -- dependencies ----------------------------------------------------------------
 
 
-def test_only_symmetric_imports_scipy():
-    # keeps a switch away from scipy a change to one module
-    importers = set()
-    for source in (Path(__file__).resolve().parent.parent / "src" / "pathweights").rglob("*.py"):
-        for node in ast.walk(ast.parse(source.read_text())):
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_module_imports_scipy():
+    # scipy supplies only its compiled LAPACK wrapper, which symmetric.py
+    # loads from its file; a switch away from scipy changes that one module
+    importers, namers = set(), set()
+    for source in (SRC / "pathweights").rglob("*.py"):
+        text = source.read_text()
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -302,4 +312,102 @@ def test_only_symmetric_imports_scipy():
                 continue
             if any(mod.split(".")[0] == "scipy" for mod in modules):
                 importers.add(source.name)
-    assert importers == {"symmetric.py"}
+        if "scipy" in text:
+            namers.add(source.name)
+    assert importers == set()
+    assert namers == {"symmetric.py"}
+
+
+def test_cli_leaves_scipy_linalg_unloaded():
+    # the package init of scipy.linalg is most of a fresh process's start-up
+    code = ("import sys; from pathweights.cli import main; "
+            f"status = main(['check', {str(SRC / 'pathweights' / 'data' / 'women.model')!r}]); "
+            "print(status, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
+# -- the LAPACK wrapper against scipy.linalg ------------------------------------------
+
+
+def spd_corpus():
+    """Seeded SPD matrices, n = 1..60, each in C and in Fortran order."""
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 61):
+        a = rng.normal(size=(n, n))
+        a = a @ a.T + rng.uniform(0.01, 2.0) * n * np.eye(n)
+        yield rng, np.ascontiguousarray(a)
+        yield rng, np.asfortranarray(a)
+
+
+def test_cholesky_wrappers_match_scipy_bit_for_bit():
+    for rng, a in spd_corpus():
+        n = len(a)
+        before = a.copy()
+        c = _cho_factor(a)
+        ref, lower = sla.cho_factor(a, lower=True)
+        assert lower
+        assert np.array_equal(np.tril(c), np.tril(ref))
+        assert np.array_equal(a, before)
+        for k in sorted({1, 2, n // 2 or 1, n}):
+            b = rng.normal(size=(n, 2 * k))
+            for rhs in (b[:, :k].copy(), np.asfortranarray(b[:, :k]), b[:, ::2]):
+                x = _cho_solve(c, rhs)
+                assert np.array_equal(x, sla.cho_solve((ref, True), rhs))
+        assert np.array_equal(_cho_solve(c, np.eye(n)), sla.cho_solve((ref, True), np.eye(n)))
+
+
+def test_cholesky_wrapper_rejects_an_indefinite_matrix_as_scipy_does():
+    a = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.0, 2.0]])
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        _cho_factor(a)
+    with pytest.raises(np.linalg.LinAlgError) as theirs:
+        sla.cho_factor(a, lower=True)
+    assert str(ours.value) == str(theirs.value) == "2-th leading minor of the array is not positive definite"
+    m = sym(a, ["a", "b", "c"])
+    with pytest.raises(NotPositiveDefiniteError, match="matrix is not positive definite: 2-th"):
+        m.inverse()
+    padded = np.eye(4)
+    padded[1:, 1:] = a
+    with pytest.raises(NotPositiveDefiniteError, match="conditioning block is not positive definite: 2-th"):
+        sym(padded, ["x", "a", "b", "c"]).schur_complement(["x"], ["a", "b", "c"])
+
+
+def checked_copy(m):
+    """``m`` rebuilt by the checking constructor."""
+    return SymMatrix(m.labels, m.values)
+
+
+def test_derived_matrices_equal_their_checked_construction():
+    # inverse, Schur complement and the model's partial correlation,
+    # correlation and inflated correlation matrices skip the symmetry check
+    # and the averaging: they are exactly symmetric, so both leave them as is
+    for rng, a in spd_corpus():
+        n = len(a)
+        labels = [f"v{i}" for i in range(n)]
+        m = SymMatrix(labels, a)
+        derived = [m.inverse()]
+        if n > 1:
+            cut = int(rng.integers(1, n))
+            order = rng.permutation(labels).tolist()
+            derived.append(m.schur_complement(order[:cut], order[cut:]))
+        for d in derived:
+            assert np.array_equal(d.values, d.values.T)
+            assert np.array_equal(d.values, checked_copy(d).values)
+            assert not d.values.flags.writeable
+    graph_rng = np.random.default_rng(7)
+    for p in (2, 5, 12, 30):
+        model = random_model(graph_rng, p, 0.4)
+        for d in (model.sigma, model.kappa, model.partial_corr, model.omega, model.inflated):
+            assert np.array_equal(d.values, d.values.T)
+            assert np.array_equal(d.values, checked_copy(d).values)
+
+
+def test_derived_matrix_keeps_the_finiteness_check():
+    with pytest.raises(InvalidMatrixError, match="finite"):
+        SymMatrix._derived(("a", "b"), np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(InvalidMatrixError, match="finite"):
+        sym([[1e-310, 0.0], [0.0, 1.0]]).inverse()  # 1 / 1e-310 overflows
