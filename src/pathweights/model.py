@@ -15,6 +15,13 @@ matrices are computed once at construction and cached immutably:
   endpoint inflation factors. Its determinant, the sharp bound on every
   inflated-correlation path weight, is computed once as well.
 
+One LAPACK Cholesky factor of the covariance serves the whole construction:
+its pivots are the positive-definiteness check, solving with it gives the
+concentration matrix (unless one is supplied), and with D = diag(K)^(1/2) the
+inflated matrix is D Sigma D, so its determinant is |Sigma| * prod k_vv, the
+squared product of the pivots times sqrt(k_vv). Up to p = 3 the determinant
+takes the exact closed form of the inflated matrix instead.
+
 Models can be built from an explicit covariance or from edge partial
 correlations alone. The latter fixes diag(K) = 1, which is harmless for every
 quantity this package reports: path weights are scale-equivariant, so any
@@ -24,6 +31,7 @@ diagonal rescaling of the covariance cancels out of normalized output
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import NotAdaptedError, NotPositiveDefiniteError, UnknownVertexError
 from .graphs import Graph
-from .symmetric import SymMatrix, chol_det
+from .symmetric import SymMatrix, _square, chol_det
 
 #: Default relative tolerance for the adaptedness check.
 DEFAULT_ADAPTED_TOL = 1e-8
@@ -90,9 +98,11 @@ class Model:
         if set(sigma.labels) != set(graph.vertices):
             raise UnknownVertexError(set(sigma.labels) ^ set(graph.vertices))
         sigma = sigma.reindexed(graph.vertices)
-        if not sigma.is_positive_definite():
-            raise NotPositiveDefiniteError("covariance matrix is not positive definite")
-        kappa = sigma.inverse() if kappa is None else kappa.reindexed(graph.vertices)
+        try:
+            factor = sigma._pd_factor()
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError("covariance matrix is not positive definite") from exc
+        kappa = sigma._inverse(factor) if kappa is None else kappa.reindexed(graph.vertices)
         self.graph = graph
         self.sigma = sigma
         self.kappa = kappa
@@ -108,15 +118,22 @@ class Model:
         self.partial_corr = SymMatrix._derived(graph.vertices, r)
         self.omega = SymMatrix._derived(graph.vertices, sigma.values / np.outer(ds, ds))
         self.inflated = SymMatrix._derived(graph.vertices, sigma.values * np.outer(dk, dk))
-        self._inflated_det = chol_det(self.inflated.values)
+        # |varrho| = |Sigma| * prod k_vv, from the factor of Sigma; closed forms up to p = 3
+        self._inflated_det = (chol_det(self.inflated.values) if len(dk) <= 3
+                              else _square(math.prod((dk * np.diagonal(factor)).tolist())))
 
     def _check_adapted(self) -> None:
         k = self.kappa.values
-        scale = np.sqrt(np.outer(np.diagonal(k), np.diagonal(k)))
+        diag = np.diagonal(k)
         g = self.graph
         adjacent = np.eye(len(g.vertices), dtype=bool)
         adjacent[np.repeat(np.arange(len(g.vertices)), np.diff(g._indptr)), g._indices] = True
-        mag = np.abs(k) / scale
+        # |k_ij| / sqrt(k_ii k_jj), with K scaled by one exact power of two about
+        # the middle of its diagonal's exponents, so the product neither
+        # overflows nor underflows and each finite magnitude keeps its bits
+        e = (np.frexp(diag.max())[1] + np.frexp(diag.min())[1]) // 2 if len(diag) else 0
+        d = np.ldexp(diag, -e)
+        mag = np.ldexp(np.abs(k), -e) / np.sqrt(np.outer(d, d))
         rows, cols = np.nonzero(np.triu(~adjacent & (mag > self.tol)))
         labels = g.vertices
         violations = [(labels[i], labels[j], mag[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]

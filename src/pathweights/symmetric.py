@@ -263,14 +263,18 @@ class SymMatrix:
             )
         if not np.all(np.isfinite(a)):
             raise InvalidMatrixError("matrix entries must be finite")
-        if a.size:
+        if not np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):  # bitwise, so 0.0 is not -0.0
             scale = max(1.0, float(np.abs(a).max()))
-            asym = float(np.abs(a - a.T).max())
+            with np.errstate(over="ignore"):
+                asym = float(np.abs(a - a.T).max())
             if asym > symmetry_tol * scale:
                 raise InvalidMatrixError(
                     f"matrix is not symmetric: max |a - a.T| = {asym:.3e}"
                 )
-        self._set(labels, (a + a.T) / 2.0)
+            # halves first: (a + a.T) / 2 overflows past about 9e307, and in the
+            # normal range the two round alike
+            a = a * 0.5 + a.T * 0.5
+        self._set(labels, a)
 
     @classmethod
     def _derived(cls, labels: tuple[str, ...], a: np.ndarray) -> "SymMatrix":
@@ -319,7 +323,7 @@ class SymMatrix:
     def submatrix(self, labels: Iterable[str]) -> "SymMatrix":
         """Principal submatrix on ``labels``, keeping parent label order."""
         idx = self.positions(labels)
-        return SymMatrix([self.labels[i] for i in idx], self.values[np.ix_(idx, idx)])
+        return SymMatrix._derived(tuple(self.labels[i] for i in idx), self.values[np.ix_(idx, idx)])
 
     def reindexed(self, labels: Sequence[str]) -> "SymMatrix":
         """The same matrix with rows and columns permuted into ``labels`` order."""
@@ -329,22 +333,35 @@ class SymMatrix:
         if labels == self.labels:
             return self
         idx = [self._pos[lab] for lab in labels]
-        return SymMatrix(labels, self.values[np.ix_(idx, idx)])
+        return SymMatrix._derived(labels, self.values[np.ix_(idx, idx)])
 
     # -- factorization-backed operations ----------------------------------
 
     def is_positive_definite(self, tol: float = DEFAULT_PIVOT_TOL) -> bool:
-        """True iff Cholesky succeeds with every pivot > tol * max diagonal."""
-        if self.dim == 0:
-            return True
-        diag = np.diagonal(self.values)
-        if diag.max() <= 0:
-            return False
+        """True iff Cholesky succeeds with every squared pivot > tol * max diagonal."""
         try:
-            pivots = np.diagonal(np.linalg.cholesky(self.values)) ** 2
-        except np.linalg.LinAlgError:
+            self._pd_factor(tol)
+        except NotPositiveDefiniteError:
             return False
-        return bool(np.all(pivots > tol * diag.max()))
+        return True
+
+    def _pd_factor(self, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
+        """The lower Cholesky factor of :func:`_cho_factor`, checked by the one
+        positive-definiteness rule: dpotrf succeeds and every squared pivot
+        exceeds ``tol`` times the largest diagonal entry. Raises
+        NotPositiveDefiniteError otherwise. The empty matrix is its own factor."""
+        if self.dim == 0:
+            return self.values
+        try:
+            factor = _cho_factor(self.values)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+        if not np.all(np.diagonal(factor) ** 2 > tol * np.diagonal(self.values).max()):
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: a squared Cholesky pivot is at most "
+                f"{tol:g} times the largest diagonal entry"
+            )
+        return factor
 
     def det(self, labels: Iterable[str] | None = None) -> float:
         """Determinant of the principal submatrix on ``labels`` (default: all).
@@ -364,13 +381,16 @@ class SymMatrix:
         return self.values[idx[:, None], idx]
 
     def inverse(self) -> "SymMatrix":
-        """Inverse via Cholesky; raises NotPositiveDefiniteError otherwise."""
+        """Inverse via Cholesky; raises NotPositiveDefiniteError unless the
+        factorization succeeds (:meth:`_pd_factor` with tolerance 0: a
+        near-singular matrix is inverted, and an inverse past the float range
+        raises InvalidMatrixError)."""
+        return self._inverse(self._pd_factor(0.0))
+
+    def _inverse(self, factor: np.ndarray) -> "SymMatrix":
+        """The inverse, from the factor :meth:`_pd_factor` gave."""
         if self.dim == 0:
             return self
-        try:
-            factor = _cho_factor(self.values)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
         inv = _cho_solve(factor, np.eye(self.dim))
         return SymMatrix._derived(self.labels, (inv + inv.T) / 2.0)
 
@@ -389,7 +409,7 @@ class SymMatrix:
             )
         a_names = tuple(self.labels[i] for i in a_idx)
         if not b_idx:
-            return SymMatrix(a_names, self.values[np.ix_(a_idx, a_idx)])
+            return SymMatrix._derived(a_names, self.values[np.ix_(a_idx, a_idx)])
         saa = self.values[np.ix_(a_idx, a_idx)]
         sab = self.values[np.ix_(a_idx, b_idx)]
         sbb = self.values[np.ix_(b_idx, b_idx)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from pathweights import (
     UnknownVertexError,
 )
 
-from conftest import oracle_schur, random_model
+from conftest import oracle_schur, random_model, vertex_names
+from pathweights import symmetric
+from test_engine_differential import CORPUS
 
 
 def test_diagonal_sigma_edgeless_graph():
@@ -54,6 +58,83 @@ def test_adaptedness_violations_listed_row_major_with_magnitudes():
     ]
     assert len(want) > 3
     assert list(err.value.violations) == want
+
+
+def test_adaptedness_check_at_extreme_scales():
+    # K past 1e154 made sqrt(k_ii * k_jj) overflow, so a 0.3 partial
+    # correlation on a non-edge read as 0. Sigma scaled by 2**e (e even) has
+    # K scaled by exactly 2**-e, so the violations keep their bits.
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    r = np.array([[0.0, 0.4, 0.3], [0.4, 0.0, 0.4], [0.3, 0.4, 0.0]])
+    bad = SymMatrix(g.vertices, np.linalg.inv(np.eye(3) - r))
+    r[0, 2] = r[2, 0] = 0.0
+    good = SymMatrix(g.vertices, np.linalg.inv(np.eye(3) - r))
+    with pytest.raises(NotAdaptedError) as err:
+        Model.from_sigma(g, bad)
+    want = list(err.value.violations)
+    assert [v[:2] for v in want] == [("a", "c")] and want[0][2] == pytest.approx(0.3)
+    pcor = Model.from_sigma(g, good).partial_corr.values
+    for e in (530, -530, 1000, -1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NotAdaptedError) as err:
+                Model.from_sigma(g, SymMatrix(g.vertices, np.ldexp(bad.values, e)))
+            assert list(err.value.violations) == want
+            m = Model.from_sigma(g, SymMatrix(g.vertices, np.ldexp(good.values, e)))
+        # the non-edge entry of K, about 1e-17 of its diagonal, goes subnormal at 2**-1000
+        np.testing.assert_allclose(m.partial_corr.values, pcor, rtol=1e-12, atol=1e-15)
+    for scale in (1e-300, 1e-160, 1e160, 1e300):
+        with pytest.raises(NotAdaptedError) as err:
+            Model.from_sigma(g, SymMatrix(g.vertices, bad.values * scale))
+        ((u, v, mag),) = err.value.violations
+        assert (u, v) == ("a", "c") and mag == pytest.approx(0.3, rel=1e-12)
+
+
+def count_factorizations(monkeypatch) -> dict:
+    """Counts of LAPACK dpotrf and ``np.linalg.cholesky`` calls from here on."""
+    calls = {"dpotrf": 0, "cholesky": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symmetric._flapack, "dpotrf", counted("dpotrf", symmetric._flapack.dpotrf))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    return calls
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 9, 1200])
+def test_a_model_takes_one_factorization_of_sigma(monkeypatch, p):
+    # the factor of Sigma gives the positive-definite check, K and |varrho|
+    names = vertex_names(p)
+    g = Graph(names, list(zip(names, names[1:])))
+    pcor = {e: 0.45 for e in g.edges}
+    ref = Model.from_partial_correlations(g, pcor)
+    d = np.random.default_rng(p).uniform(0.5, 2.0, size=p)
+    sigma = SymMatrix(names, ref.sigma.values * np.outer(d, d))
+    calls = count_factorizations(monkeypatch)
+    m = Model.from_sigma(g, sigma)
+    assert calls == {"dpotrf": min(p, 1), "cholesky": 0}
+    Model.from_partial_correlations(g, pcor)  # one for I - R, one for Sigma
+    assert calls == {"dpotrf": 3 * min(p, 1), "cholesky": 0}
+    assert m.vertices == tuple(names)
+    np.testing.assert_array_equal(m.kappa.values, m.sigma.inverse().values)
+    np.testing.assert_allclose(m.partial_corr.values, ref.partial_corr.values, rtol=1e-12, atol=1e-15)
+    if p <= 3:  # the closed form of varrho itself
+        assert m._inflated_det == m.inflated.det()
+
+
+def test_kappa_and_inflated_determinant_on_the_differential_corpus():
+    # K is the inverse of Sigma, bit for bit; |varrho| = |Sigma| * prod k_vv
+    # comes within a few ulps of the determinant of varrho itself (p = 4..11,
+    # measured maximum 2.3e-15 over these 216 models)
+    for model in CORPUS:
+        for m in (model, Model.from_sigma(model.graph, model.sigma)):
+            if m.source_kind == "sigma":
+                assert (m.kappa.values == m.sigma.inverse().values).all()
+            assert abs(m._inflated_det / m.inflated.det() - 1) <= 4e-15
 
 
 def test_from_sigma_rejects_non_pd():

@@ -58,6 +58,25 @@ def test_storage_is_exactly_symmetric():
     assert m.entry("1", "2") == m.entry("2", "1")
 
 
+def test_storage_keeps_entries_near_the_float_limit():
+    # (a + a.T) / 2 overflowed past about 9e307 and stored inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert SymMatrix(["a"], [[1e308]]).values[0, 0] == 1e308
+        m = sym([[1.7e308, 1e308 * (1 + 1e-14)], [1e308, 1.7e308]])
+    assert m.values[0, 1] == m.values[1, 0] == pytest.approx(1e308, rel=1e-13)
+    # exactly symmetric input is stored as given, signed zeros included;
+    # otherwise halves are summed, which in the normal range is the mean's rounding
+    zeros = sym([[1.0, -0.0], [-0.0, 1.0]]).values
+    assert np.signbit(zeros[0, 1]) and np.signbit(zeros[1, 0])
+    assert not np.signbit(sym([[1.0, 0.0], [-0.0, 1.0]]).values).any()
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 9):
+        a = random_spd(rng, n)
+        a = a + np.triu(rng.uniform(-1e-14, 1e-14, size=(n, n)), 1)
+        assert np.array_equal(sym(a).values, (a + a.T) / 2.0)
+
+
 def test_submatrix_preserves_parent_label_order():
     m = sym(np.diag([1.0, 2.0, 3.0]), labels=["a", "b", "c"])
     sub = m.submatrix(["c", "a"])
@@ -390,10 +409,15 @@ def test_derived_matrices_equal_their_checked_construction():
         labels = [f"v{i}" for i in range(n)]
         m = SymMatrix(labels, a)
         derived = [m.inverse()]
-        if n > 1:
-            cut = int(rng.integers(1, n))
-            order = rng.permutation(labels).tolist()
+        cut = int(rng.integers(0, n + 1))
+        order = rng.permutation(labels).tolist()
+        if 0 < cut < n:
             derived.append(m.schur_complement(order[:cut], order[cut:]))
+        # a principal block or a permutation of m takes m's entries as they are
+        for d in (m.submatrix(order[:cut]), m.reindexed(order), m.schur_complement(order[:cut], [])):
+            idx = [labels.index(v) for v in d.labels]
+            assert np.array_equal(d.values, m.values[np.ix_(idx, idx)])
+            derived.append(d)
         for d in derived:
             assert np.array_equal(d.values, d.values.T)
             assert np.array_equal(d.values, checked_copy(d).values)
