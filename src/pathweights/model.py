@@ -2,8 +2,10 @@
 
 A model couples an undirected graph with a positive-definite covariance matrix
 whose inverse (the concentration matrix) is adapted to the graph: every
-non-edge carries a zero concentration, up to a relative tolerance. All derived
-matrices are computed once at construction and cached immutably:
+non-edge carries a zero concentration, up to a relative tolerance. A model
+keeps two p x p matrices, the covariance and the concentration matrix. The
+derived matrices below are diagonal rescalings of one of them, each built in
+O(p^2) on its first read and kept from then on:
 
 - ``omega``: the correlation matrix (unit-diagonal scaling of the covariance);
 - ``partial_corr``: zero-diagonal matrix of edge partial correlations,
@@ -13,14 +15,16 @@ matrices are computed once at construction and cached immutably:
   Its diagonal entries are the per-variable inflation factors and its
   off-diagonal entries are correlations inflated by the geometric mean of the
   endpoint inflation factors. Its determinant, the sharp bound on every
-  inflated-correlation path weight, is computed once as well.
+  inflated-correlation path weight, is computed at construction.
 
 One LAPACK Cholesky factor of the covariance serves the whole construction:
 its pivots are the positive-definiteness check, solving with it gives the
 concentration matrix (unless one is supplied), and with D = diag(K)^(1/2) the
 inflated matrix is D Sigma D, so its determinant is |Sigma| * prod k_vv, the
 squared product of the pivots times sqrt(k_vv). Up to p = 3 the determinant
-takes the exact closed form of the inflated matrix instead.
+takes the exact closed form of the inflated matrix instead. The factor is
+dropped before the adaptedness check, which, like the inverse, works a strip
+of rows at a time, so building a model holds about 2.5 p^2 floats at most.
 
 Models can be built from an explicit covariance or from edge partial
 correlations alone. The latter fixes diag(K) = 1, which is harmless for every
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import NotAdaptedError, NotPositiveDefiniteError, UnknownVertexError
 from .graphs import Graph
-from .symmetric import SymMatrix, _square, chol_det
+from .symmetric import SymMatrix, _row_strips, _square, chol_det
 
 #: Default relative tolerance for the adaptedness check.
 DEFAULT_ADAPTED_TOL = 1e-8
@@ -74,18 +78,22 @@ Kind = Measure | CustomScaling
 
 
 class Model:
-    """Validated pair (graph, covariance) with cached derived matrices.
+    """Validated pair (graph, covariance) with derived matrices built on first read.
 
-    Immutable after construction; safe to share across threads. No analysis
-    writes to a model: state such as the block determinants a decomposition
-    shares between its paths lives in that one call. Use the
-    classmethods :meth:`from_sigma` and :meth:`from_partial_correlations`
-    rather than the constructor unless you already hold a concentration
-    matrix known to be exact (the fitting code does).
+    A model keeps Sigma and K; ``omega``, ``partial_corr`` and ``inflated``
+    are read-only properties, each computed on its first read and kept.
+    Otherwise immutable after construction, and safe to share across
+    threads: concurrent first reads of a derived matrix each compute it from
+    the same operands, so they get equal values. No analysis writes to a
+    model: state such as the block determinants a decomposition shares
+    between its paths lives in that one call. Use the classmethods
+    :meth:`from_sigma` and :meth:`from_partial_correlations` rather than the
+    constructor unless you already hold a concentration matrix known to be
+    exact (the fitting code does).
     """
 
-    __slots__ = ("graph", "sigma", "kappa", "tol", "omega", "partial_corr",
-                 "inflated", "_inflated_det", "source_kind")
+    __slots__ = ("graph", "sigma", "kappa", "tol", "source_kind", "_inflated_det",
+                 "_omega", "_partial_corr", "_inflated")
 
     def __init__(
         self,
@@ -103,40 +111,41 @@ class Model:
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError("covariance matrix is not positive definite") from exc
         kappa = sigma._inverse(factor) if kappa is None else kappa.reindexed(graph.vertices)
+        pivots = np.diagonal(factor).copy()  # a copy, so the p^2 floats of the factor go now
+        del factor
         self.graph = graph
         self.sigma = sigma
         self.kappa = kappa
         self.tol = tol
         self.source_kind = source_kind
+        self._omega = self._partial_corr = self._inflated = None
         self._check_adapted()
-        k = kappa.values
-        dk = np.sqrt(np.diagonal(k))
-        r = -k / np.outer(dk, dk)
-        np.fill_diagonal(r, 0.0)
-        ds = np.sqrt(sigma.diagonal())
-        # exactly symmetric: an entry and its mirror come from the same operands
-        self.partial_corr = SymMatrix._derived(graph.vertices, r)
-        self.omega = SymMatrix._derived(graph.vertices, sigma.values / np.outer(ds, ds))
-        self.inflated = SymMatrix._derived(graph.vertices, sigma.values * np.outer(dk, dk))
+        dk = np.sqrt(np.diagonal(kappa.values))
         # |varrho| = |Sigma| * prod k_vv, from the factor of Sigma; closed forms up to p = 3
-        self._inflated_det = (chol_det(self.inflated.values) if len(dk) <= 3
-                              else _square(math.prod((dk * np.diagonal(factor)).tolist())))
+        self._inflated_det = (chol_det(sigma.values * np.outer(dk, dk)) if len(dk) <= 3
+                              else _square(math.prod((dk * pivots).tolist())))
 
     def _check_adapted(self) -> None:
         k = self.kappa.values
         diag = np.diagonal(k)
         g = self.graph
-        adjacent = np.eye(len(g.vertices), dtype=bool)
-        adjacent[np.repeat(np.arange(len(g.vertices)), np.diff(g._indptr)), g._indices] = True
         # |k_ij| / sqrt(k_ii k_jj), with K scaled by one exact power of two about
         # the middle of its diagonal's exponents, so the product neither
-        # overflows nor underflows and each finite magnitude keeps its bits
+        # overflows nor underflows and each finite magnitude keeps its bits;
+        # upper triangle only, a strip of rows at a time, so row-major overall
         e = (np.frexp(diag.max())[1] + np.frexp(diag.min())[1]) // 2 if len(diag) else 0
         d = np.ldexp(diag, -e)
-        mag = np.ldexp(np.abs(k), -e) / np.sqrt(np.outer(d, d))
-        rows, cols = np.nonzero(np.triu(~adjacent & (mag > self.tol)))
         labels = g.vertices
-        violations = [(labels[i], labels[j], mag[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
+        violations = []
+        for s, t in _row_strips(len(labels)):
+            mag = np.ldexp(np.abs(k[s:t, s:]), -e) / np.sqrt(np.outer(d[s:t], d[s:]))
+            adjacent = np.eye(t - s, len(labels) - s, dtype=bool)
+            u = np.repeat(np.arange(t - s), np.diff(g._indptr[s:t + 1]))
+            w = g._indices[g._indptr[s]:g._indptr[t]] - s
+            adjacent[u[w >= 0], w[w >= 0]] = True
+            rows, cols = np.nonzero(np.triu(~adjacent & (mag > self.tol)))
+            violations += [(labels[s + i], labels[s + j], mag[i, j])
+                           for i, j in zip(rows.tolist(), cols.tolist())]
         if violations:
             raise NotAdaptedError(violations)
 
@@ -188,6 +197,33 @@ class Model:
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices
+
+    @property
+    def partial_corr(self) -> SymMatrix:
+        """Edge partial correlations -k_uv / sqrt(k_uu k_vv), 0 on the diagonal."""
+        if self._partial_corr is None:
+            dk = np.sqrt(np.diagonal(self.kappa.values))
+            r = -self.kappa.values / np.outer(dk, dk)
+            np.fill_diagonal(r, 0.0)
+            # exactly symmetric: an entry and its mirror come from the same operands
+            self._partial_corr = SymMatrix._derived(self.graph.vertices, r)
+        return self._partial_corr
+
+    @property
+    def omega(self) -> SymMatrix:
+        """The correlation matrix, Sigma scaled to a unit diagonal."""
+        if self._omega is None:
+            ds = np.sqrt(self.sigma.diagonal())
+            self._omega = SymMatrix._derived(self.graph.vertices, self.sigma.values / np.outer(ds, ds))
+        return self._omega
+
+    @property
+    def inflated(self) -> SymMatrix:
+        """The inflated correlation matrix D Sigma D, D = diag(K)^(1/2)."""
+        if self._inflated is None:
+            dk = np.sqrt(np.diagonal(self.kappa.values))
+            self._inflated = SymMatrix._derived(self.graph.vertices, self.sigma.values * np.outer(dk, dk))
+        return self._inflated
 
     def edge_partial_correlation(self, u: str, v: str) -> float:
         if not self.graph.has_edge(u, v):

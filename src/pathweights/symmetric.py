@@ -80,13 +80,47 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cho_solve(c: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
     """``scipy.linalg.cho_solve((c, True), b)``: solve A x = b for a 2-D ``b``,
-    given the factor ``c`` of A from :func:`_cho_factor`."""
-    x, info = _flapack.dpotrs(c, b, lower=1)
+    given the factor ``c`` of A from :func:`_cho_factor`. With ``overwrite_b``
+    and a Fortran-ordered float ``b``, x is solved in b's own storage."""
+    x, info = _flapack.dpotrs(c, b, lower=1, overwrite_b=int(overwrite_b))
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
+
+
+#: Entries per strip of rows in the strip-wise passes over a p x p matrix, so
+#: their temporaries stay small next to the matrix (256 KiB of float64).
+_STRIP_ENTRIES = 1 << 15
+
+
+def _row_strips(n: int) -> Iterable[tuple[int, int]]:
+    """Bounds ``(s, e)`` of consecutive strips of rows of an n x n matrix that
+    cover ``range(n)``, each of at most :data:`_STRIP_ENTRIES` entries (one row
+    at least)."""
+    rows = max(1, _STRIP_ENTRIES // max(1, n))
+    return ((s, min(s + rows, n)) for s in range(0, n, rows))
+
+
+def _mean_with_transpose(a: np.ndarray) -> np.ndarray:
+    """Overwrite the square array ``a`` with ``(a + a.T) / 2.0``, a strip of
+    rows at a time, and return it. Where the sum overflows, the entry is
+    ``a * 0.5 + a.T * 0.5``, the same mean without the overflow; every other
+    entry keeps the bits of ``(a + a.T) / 2.0``. The mean is commutative, so
+    the result is exactly symmetric."""
+    n = len(a)
+    for s, e in _row_strips(n):
+        upper, lower = a[s:e, s:], a[s:, s:e].T
+        with np.errstate(over="ignore"):
+            t = upper + lower
+        over = np.isinf(t)
+        t /= 2.0
+        if over.any():
+            t[over] = upper[over] * 0.5 + lower[over] * 0.5
+        upper[...] = t
+        a[s:, s:e] = t.T
+    return a
 
 
 def _closed_form_det(e, n: int):
@@ -391,8 +425,9 @@ class SymMatrix:
         """The inverse, from the factor :meth:`_pd_factor` gave."""
         if self.dim == 0:
             return self
-        inv = _cho_solve(factor, np.eye(self.dim))
-        return SymMatrix._derived(self.labels, (inv + inv.T) / 2.0)
+        inv = _cho_solve(factor, np.eye(self.dim, order="F"), overwrite_b=True)
+        # the mean is exactly symmetric, so its C-ordered transpose holds the same values
+        return SymMatrix._derived(self.labels, _mean_with_transpose(inv.T))
 
     def schur_complement(self, a_labels: Iterable[str], b_labels: Iterable[str]) -> "SymMatrix":
         """Partial covariance block: M[A,A] - M[A,B] M[B,B]^{-1} M[B,A].
@@ -420,7 +455,7 @@ class SymMatrix:
                 f"conditioning block is not positive definite: {exc}"
             ) from exc
         out = saa - sab @ _cho_solve(factor, sab.T)
-        return SymMatrix._derived(a_names, (out + out.T) / 2.0)
+        return SymMatrix._derived(a_names, _mean_with_transpose(out))
 
     def __repr__(self) -> str:
         return f"SymMatrix(labels={self.labels!r}, dim={self.dim})"

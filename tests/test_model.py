@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from pathweights import (
 
 from conftest import oracle_schur, random_model, vertex_names
 from pathweights import symmetric
+from pathweights.datasets import men_network, women_network
 from test_engine_differential import CORPUS
 
 
@@ -135,6 +139,86 @@ def test_kappa_and_inflated_determinant_on_the_differential_corpus():
             if m.source_kind == "sigma":
                 assert (m.kappa.values == m.sigma.inverse().values).all()
             assert abs(m._inflated_det / m.inflated.det() - 1) <= 4e-15
+
+
+def chain_model(p):
+    names = vertex_names(p)
+    g = Graph(names, list(zip(names, names[1:])))
+    return random_model(np.random.default_rng(p), p, 0.0, graph=g)
+
+
+def test_building_a_model_holds_two_p_by_p_matrices():
+    # a model keeps Sigma and K; the factor of Sigma is dropped before the
+    # adaptedness check, and the inverse and the check work a strip of rows
+    # at a time
+    p = 400
+    m = chain_model(p)
+    tracemalloc.start()
+    try:
+        built = Model.from_sigma(m.graph, m.sigma)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    floats = 8 * p * p
+    assert retained <= 1.1 * floats
+    assert peak <= 3 * floats
+    assert np.array_equal(built.kappa.values, m.kappa.values)
+
+
+def eager_derived(m):
+    """The derived matrices as the constructor once built them."""
+    k = m.kappa.values
+    dk = np.sqrt(np.diagonal(k))
+    r = -k / np.outer(dk, dk)
+    np.fill_diagonal(r, 0.0)
+    ds = np.sqrt(m.sigma.diagonal())
+    return {"partial_corr": r, "omega": m.sigma.values / np.outer(ds, ds),
+            "inflated": m.sigma.values * np.outer(dk, dk)}
+
+
+def test_derived_matrices_are_built_on_first_read():
+    models = [*CORPUS, women_network(), men_network(), chain_model(1200)]
+    for model in models:
+        for m in (Model(model.graph, model.sigma, kappa=model.kappa), Model.from_sigma(model.graph, model.sigma)):
+            assert m._omega is m._partial_corr is m._inflated is None
+            for name, want in eager_derived(m).items():
+                got = getattr(m, name)
+                assert got.labels == m.vertices
+                assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64)), name
+                assert getattr(m, name) is got
+                with pytest.raises(AttributeError):
+                    setattr(m, name, got)
+
+
+def test_concurrent_first_reads_give_equal_matrices():
+    # no lock: threads that race on a first read each build the matrix from
+    # the same operands, and any of the equal results may be the one kept
+    names = ("partial_corr", "omega", "inflated")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for model in (CORPUS[0], CORPUS[-1], chain_model(300)):
+            m = Model(model.graph, model.sigma, kappa=model.kappa)
+            start = threading.Barrier(4, timeout=60)
+            seen = []
+
+            def read():
+                start.wait()
+                seen.append([getattr(m, name).values for name in names])
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(seen) == 4
+            want = eager_derived(m)
+            for got in seen:
+                for name, a in zip(names, got):
+                    assert np.array_equal(a, want[name]) and np.array_equal(a, getattr(m, name).values), name
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_from_sigma_rejects_non_pd():

@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["dense-allpairs", "sparse-large"])
+@pytest.mark.parametrize("workload", ["dense-allpairs", "sparse-large", "cli-dietary"])
 def test_perfbench_smoke_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

@@ -16,8 +16,9 @@ from pathweights import (
     SymMatrix,
     UnknownVertexError,
 )
-from pathweights.symmetric import (_cho_factor, _cho_solve, chol_det, chol_dets, chol_slogdet,
-                                  det_product)
+from pathweights import symmetric
+from pathweights.symmetric import (_cho_factor, _cho_solve, _mean_with_transpose, chol_det, chol_dets,
+                                  chol_slogdet, det_product)
 
 from conftest import oracle_schur, random_model
 
@@ -428,6 +429,48 @@ def test_derived_matrices_equal_their_checked_construction():
         for d in (model.sigma, model.kappa, model.partial_corr, model.omega, model.inflated):
             assert np.array_equal(d.values, d.values.T)
             assert np.array_equal(d.values, checked_copy(d).values)
+
+
+@pytest.mark.parametrize("strip", [50, symmetric._STRIP_ENTRIES])
+def test_inverse_keeps_the_bits_of_the_mean_of_the_solve(monkeypatch, strip):
+    # K is solved in the storage of a Fortran-ordered identity and averaged
+    # with its transpose in place, a strip of rows at a time; its values are
+    # those of (x + x.T) / 2.0
+    monkeypatch.setattr(symmetric, "_STRIP_ENTRIES", strip)
+    for rng, a in spd_corpus():
+        n = len(a)
+        x = sla.cho_solve(sla.cho_factor(a, lower=True), np.eye(n))
+        inv = sym(a).inverse().values
+        assert np.array_equal(inv, (x + x.T) / 2.0)
+        assert inv.flags.c_contiguous
+        b = np.eye(n, order="F")
+        assert _cho_solve(_cho_factor(a), b, overwrite_b=True) is b
+
+
+def test_mean_with_transpose_halves_only_where_the_sum_overflows(monkeypatch):
+    monkeypatch.setattr(symmetric, "_STRIP_ENTRIES", 20)  # strips of one to twenty rows
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 13, 21):
+        a = rng.uniform(-1.79, 1.79, size=(n, n)) * 10.0 ** rng.integers(-320, 309, size=(n, n))
+        with np.errstate(over="ignore"):
+            total = a + a.T
+        want = np.where(np.isinf(total), a * 0.5 + a.T * 0.5, total / 2.0)
+        got = _mean_with_transpose(a.copy())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
+
+
+def test_inverse_and_schur_complement_keep_entries_near_the_float_limit():
+    # (x + x.T) / 2 overflowed past about 9e307, so an inverse or a Schur
+    # complement whose answer is finite raised InvalidMatrixError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny = sym([[1 / 1.5e308]])
+        inv = tiny.inverse().values[0, 0]
+        assert inv == _cho_solve(_cho_factor(tiny.values), np.eye(1))[0, 0]
+        assert inv == pytest.approx(1.5e308, rel=1e-15)
+        m = sym([[1.7e308, 1.6e308, 0.0], [1.6e308, 1.7e308, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(m.schur_complement(["1", "2"], ["3"]).values, m.values[:2, :2])
 
 
 def test_derived_matrix_keeps_the_finiteness_check():
