@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import centrality as centrality_mod
@@ -62,6 +63,26 @@ def _non_negative_int(text: str) -> int:
         value = -1  # not an integer: rejected with the same message
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected with the same message
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: rejected with the same message
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number greater than 0, got {text}")
     return value
 
 
@@ -286,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("covariance", help="sample covariance CSV (label header row/column)")
     p.add_argument("graph", help="model file providing the graph")
     p.add_argument("output", help="path of the fitted model file to write")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--max-iter", type=_positive_int, default=10000)
     _add_common(p)
     p.set_defaults(handler=_cmd_fit)
 

@@ -23,6 +23,7 @@ Two independent pieces of data-side machinery:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,7 +52,10 @@ def ips_fit(
     covariance by Woodbury in O(|c|^3 + p^2):
     Sigma -= Sigma_.c Delta (I + Sigma_cc Delta)^-1 Sigma_c., where
     Delta (I + Sigma_cc Delta)^-1 = Sigma_cc^-1 (Sigma_cc - S_cc) Sigma_cc^-1
-    needs no inverse beyond Sigma_cc^-1. After each sweep K is symmetrized
+    needs no inverse beyond Sigma_cc^-1. A clique has one or two vertices, so
+    S_cc^-1 and Sigma_cc^-1 take the closed form of a 1 x 1 or 2 x 2 inverse
+    (the general 2 x 2 formula, [[d, -b], [-c, a]] / (ad - bc), in Python
+    floats), not a LAPACK call. After each sweep K is symmetrized
     and inverted once, the only p x p inverse of the sweep, so the fitted
     covariance the residual is taken on, and the next sweep starts from, is
     inv(K): rounding drift of the updates never carries past one sweep.
@@ -65,10 +69,15 @@ def ips_fit(
     tol : float
         Convergence threshold: maximum absolute mismatch between the fitted
         and sample covariance on the constrained positions (diagonal and
-        edges), checked after each full sweep.
+        edges), checked after each full sweep. Must be finite and > 0.
     max_iter : int
-        Sweep budget; exceeding it raises NotConvergedError with diagnostics.
+        Sweep budget, at least 1; exceeding it raises NotConvergedError with
+        diagnostics.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and greater than 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     sample = sample.reindexed(graph.vertices)
     if not sample.is_positive_definite():
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
@@ -81,7 +90,7 @@ def ips_fit(
     cliques = []
     for c in isolated + [sorted((pos[u], pos[v])) for u, v in graph.sorted_edges()]:
         block = np.ix_(c, c)
-        cliques.append((c, block, s[block], np.linalg.inv(s[block])))
+        cliques.append((c, block, s[block], _small_inverse(s[block])))
     constrained = np.eye(p, dtype=bool)
     for u, v in graph.edges:
         constrained[pos[u], pos[v]] = constrained[pos[v], pos[u]] = True
@@ -92,7 +101,7 @@ def ips_fit(
     for _ in range(max_iter):
         for c, block, s_cc, s_cc_inv in cliques:
             sigma_cc = fitted[block]
-            sigma_cc_inv = np.linalg.inv(sigma_cc)
+            sigma_cc_inv = _small_inverse(sigma_cc)
             k[block] += s_cc_inv - sigma_cc_inv
             cols = fitted[:, c]
             fitted -= cols @ (sigma_cc_inv @ (sigma_cc - s_cc) @ sigma_cc_inv) @ cols.T
@@ -106,6 +115,15 @@ def ips_fit(
 
     fitted = (fitted + fitted.T) / 2.0
     return Model(graph, SymMatrix(labels, fitted), kappa=SymMatrix(labels, k))
+
+
+def _small_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a 1 x 1 or 2 x 2 array by its closed form, in Python floats."""
+    if len(a) == 1:
+        return np.array([[1.0 / a.item(0, 0)]])
+    p, q, r, s = a.ravel().tolist()
+    det = p * s - q * r
+    return np.array([[s / det, -q / det], [-r / det, p / det]])
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,8 @@ class SignAssignment:
 
 def is_mtp2(m: Model, tol: float = DEFAULT_SIGN_TOL) -> bool:
     """True iff every edge partial correlation is already >= -tol."""
-    return all(m.partial_corr.entry(u, v) >= -tol for u, v in m.graph.edges)
+    index = m.graph._index
+    return all(m._pcor(index[u], index[v]) >= -tol for u, v in m.graph.edges)
 
 
 def mtp2_sign_search(m: Model, tol: float = DEFAULT_SIGN_TOL) -> SignAssignment | None:
@@ -140,8 +159,9 @@ def mtp2_sign_search(m: Model, tol: float = DEFAULT_SIGN_TOL) -> SignAssignment 
     """
     required: dict[tuple[str, str], int] = {}
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in m.graph.vertices}
+    index = m.graph._index
     for u, v in m.graph.sorted_edges():
-        pc = m.partial_corr.entry(u, v)
+        pc = m._pcor(index[u], index[v])
         if abs(pc) <= tol:
             continue
         sign = 1 if pc > 0 else -1

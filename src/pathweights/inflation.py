@@ -40,8 +40,16 @@ def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None)
             return 1.0
         if len(a) + len(b) < m.sigma.dim:
             return det_product(((m.sigma, a, 1), (m.sigma.schur_complement(a, b), None, -1)))
-    # B is the complement: |Sigma_AA.B| = 1 / |K_AA|
-    return det_product(((m.sigma, a, 1), (m.kappa, a, 1))) if 0 < len(a) < m.sigma.dim else 1.0
+    return _complement_inflation(m, m.sigma.positions(a))
+
+
+def _complement_inflation(m: Model, idx: list[int]) -> float:
+    """:func:`inflation_factor` of the vertices at the ascending indices ``idx``
+    on all the others: |Sigma_AA| |K_AA|, as |Sigma_AA.B| = 1 / |K_AA| when B
+    is the complement of A; blocks of up to 3 vertices in closed form."""
+    if not 0 < len(idx) < m.sigma.dim:
+        return 1.0
+    return det_product(((m.sigma.values, idx, 1), (m.kappa.values, idx, 1)))
 
 
 @dataclass(frozen=True)
@@ -124,14 +132,14 @@ def global_collinearity(
     if kind not in ("variance", "partial-variance"):
         raise ValueError(f"kind must be 'variance' or 'partial-variance', got {kind!r}")
     if partition is None:
-        blocks = [(v,) for v in m.graph.vertices]
+        blocks = [[i] for i in range(m.sigma.dim)]
     else:
-        blocks = [m.graph.require_vertices(block) for block in partition]
-        flat = [v for block in blocks for v in block]
+        labels = [m.graph.require_vertices(block) for block in partition]
+        flat = [v for block in labels for v in block]
         if len(flat) != len(set(flat)):
             raise ValueError("partition blocks must be disjoint")
         if set(flat) != set(m.graph.vertices):
             raise ValueError("partition must cover every vertex")
-    if kind == "variance":
-        return det_product([(m.sigma, block, 1) for block in blocks] + [(m.sigma, None, -1)])
-    return det_product([(m.kappa, block, 1) for block in blocks] + [(m.sigma, None, 1)])
+        blocks = [m.sigma.positions(block) for block in labels]
+    mat, e = (m.sigma, -1) if kind == "variance" else (m.kappa, 1)
+    return det_product([(mat.values, block, 1) for block in blocks] + [(m.sigma.values, None, e)])

@@ -9,13 +9,16 @@ O(p^2) on its first read and kept from then on:
 
 - ``omega``: the correlation matrix (unit-diagonal scaling of the covariance);
 - ``partial_corr``: zero-diagonal matrix of edge partial correlations,
-  entry (u, v) = -k_uv / sqrt(k_uu * k_vv);
+  entry (u, v) = -k_uv / sqrt(k_uu * k_vv); queries that need a few of its
+  entries, or one block, take them from K with the same float operations
+  and never build it;
 - ``inflated``: the inflated correlation matrix, the covariance scaled by
   sqrt(diag K) on both sides, equivalently the inverse of (I - partial_corr).
   Its diagonal entries are the per-variable inflation factors and its
   off-diagonal entries are correlations inflated by the geometric mean of the
   endpoint inflation factors. Its determinant, the sharp bound on every
-  inflated-correlation path weight, is computed at construction.
+  inflated-correlation path weight, is computed at construction. The
+  explicit path forms take their block of it from Sigma and diag K.
 
 One LAPACK Cholesky factor of the covariance serves the whole construction:
 its pivots are the positive-definiteness check, solving with it gives the
@@ -202,12 +205,15 @@ class Model:
     def partial_corr(self) -> SymMatrix:
         """Edge partial correlations -k_uv / sqrt(k_uu k_vv), 0 on the diagonal."""
         if self._partial_corr is None:
-            dk = np.sqrt(np.diagonal(self.kappa.values))
-            r = -self.kappa.values / np.outer(dk, dk)
-            np.fill_diagonal(r, 0.0)
             # exactly symmetric: an entry and its mirror come from the same operands
-            self._partial_corr = SymMatrix._derived(self.graph.vertices, r)
+            self._partial_corr = SymMatrix._derived(self.graph.vertices, _pcor_block(self.kappa.values))
         return self._partial_corr
+
+    def _pcor(self, i: int, j: int) -> float:
+        """Entry (i, j), i != j, of ``partial_corr`` by vertex index, taken from K
+        with the same float operations, so with the same bits, without building R."""
+        k = self.kappa.values
+        return -k.item(i, j) / (math.sqrt(k.item(i, i)) * math.sqrt(k.item(j, j)))
 
     @property
     def omega(self) -> SymMatrix:
@@ -221,14 +227,14 @@ class Model:
     def inflated(self) -> SymMatrix:
         """The inflated correlation matrix D Sigma D, D = diag(K)^(1/2)."""
         if self._inflated is None:
-            dk = np.sqrt(np.diagonal(self.kappa.values))
-            self._inflated = SymMatrix._derived(self.graph.vertices, self.sigma.values * np.outer(dk, dk))
+            self._inflated = SymMatrix._derived(
+                self.graph.vertices, _inflated_block(self.sigma.values, np.diagonal(self.kappa.values)))
         return self._inflated
 
     def edge_partial_correlation(self, u: str, v: str) -> float:
         if not self.graph.has_edge(u, v):
             raise ValueError(f"{u!r}--{v!r} is not an edge of the graph")
-        return self.partial_corr.entry(u, v)
+        return self._pcor(self.graph._index[u], self.graph._index[v])
 
     def partial_covariance(self, a: Iterable[str], given: Iterable[str] | None = None) -> SymMatrix:
         """Covariance of X_A adjusted for X_B (default B: everything else)."""
@@ -253,7 +259,25 @@ class Model:
         a = self.graph.require_vertices(a)
         if not a:
             raise ValueError("conditioning set must be nonempty")
-        return SymMatrix(a, np.eye(len(a)) - self.partial_corr.submatrix(a).values).inverse()
+        return SymMatrix(a, np.eye(len(a)) - _pcor_block(self.kappa.submatrix(a).values)).inverse()
 
     def __repr__(self) -> str:
         return f"Model({self.graph!r}, source={self.source_kind!r})"
+
+
+def _pcor_block(k: np.ndarray) -> np.ndarray:
+    """The partial correlations -k_uv / sqrt(k_uu k_vv) of a principal block
+    ``k`` of K, 0 on the diagonal: the same block of ``Model.partial_corr``,
+    bit for bit, without the rest of it."""
+    dk = np.sqrt(np.diagonal(k))
+    r = -k / np.outer(dk, dk)
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+def _inflated_block(s: np.ndarray, k_diag: np.ndarray) -> np.ndarray:
+    """D s D, D = diag(k_diag)^(1/2), for a principal block ``s`` of Sigma and
+    the diagonal ``k_diag`` of K on the same vertices: the same block of
+    ``Model.inflated``, bit for bit, without the rest of it."""
+    dk = np.sqrt(k_diag)
+    return s * np.outer(dk, dk)

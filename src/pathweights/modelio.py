@@ -137,7 +137,7 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
     doc["vertices"] = list(model.vertices)
     if model.source_kind == "pcor":
         doc["edges"] = [
-            {"u": u, "v": v, "pcor": model.partial_corr.entry(u, v)}
+            {"u": u, "v": v, "pcor": model.edge_partial_correlation(u, v)}
             for u, v in model.graph.sorted_edges()
         ]
     else:

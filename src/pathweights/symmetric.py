@@ -169,6 +169,27 @@ def _factored_det(a: np.ndarray) -> _Det:
     return _Det(_square(math.prod(pivots.tolist())), pivots)
 
 
+def _principal_det(a: np.ndarray, idx: Sequence[int] | None = None) -> _Det:
+    """:func:`_factored_det` of the principal block of ``a`` on the ascending
+    positions ``idx`` (None: all of ``a``). Up to three positions, the entries
+    are read one by one into the closed forms, in the order the block's
+    ``ravel`` gives them, so no block is taken and the value has its bits."""
+    if idx is None:
+        return _factored_det(a)
+    n = len(idx)
+    if n <= 3:
+        return _Det(_closed_form_det([a.item(i, j) for i in idx for j in idx], n) if n else 1.0, None, True)
+    return _factored_det(_principal_block(a, idx))
+
+
+def _principal_block(a: np.ndarray, idx: Sequence[int] | None) -> np.ndarray:
+    """The principal block of ``a`` on the ascending positions ``idx`` (None: all of ``a``)."""
+    if idx is None:
+        return a
+    idx = np.asarray(idx, dtype=np.intp)
+    return a[idx[:, None], idx]
+
+
 def chol_dets(blocks: np.ndarray) -> list[float]:
     """:func:`chol_det` of every matrix in a ``(k, n, n)`` stack.
 
@@ -226,12 +247,13 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
     """Product of ``factors``, left to right from 1.0: the one routine that
     multiplies determinants together or with scalars.
 
-    A factor is ``(M, L, e)``, ``|M_LL| ** e`` with e = 1 or -1 for a
-    :class:`SymMatrix` M (L None: all of M) or for a block M already taken as
-    an array; or ``(v,)``, a run of scalars (edge values, an endpoint scale)
-    reduced left to right from 1.0 on its own, then multiplied in. ``dets``,
-    when given, holds each factor's value, already taken by the caller: a
-    run's product, and a determinant as :func:`_factored_det` gives it.
+    A factor is ``(M, L, e)``, ``|M_LL| ** e`` with e = 1 or -1, for a
+    :class:`SymMatrix` M and labels L, or for an array M and its ascending
+    positions L (L None: all of M); or ``(v,)``, a run of scalars (edge
+    values, an endpoint scale) reduced left to right from 1.0 on its own,
+    then multiplied in. ``dets``, when given, holds each factor's value,
+    already taken by the caller: a run's product, and a determinant as
+    :func:`_factored_det` gives it.
 
     Where the direct product is not finite, or is 0 with no scalar 0, or
     divides by a determinant that underflows to 0, it is taken as
@@ -243,7 +265,7 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
     runs = [list(map(float, f[0])) if len(f) == 1 else None for f in factors]
     if dets is None:
         dets = [math.prod(v) if v is not None
-                else f[0]._det(f[1]) if isinstance(f[0], SymMatrix) else _factored_det(f[0])
+                else f[0]._det(f[1]) if isinstance(f[0], SymMatrix) else _principal_det(f[0], f[1])
                 for v, f in zip(runs, factors)]
     out = 1.0
     try:
@@ -265,7 +287,8 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
                 elif d.closed and d.value != 0.0 and math.isfinite(d.value):
                     s, logdet = math.copysign(1.0, d.value), math.log(abs(d.value))
                 else:
-                    s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix) else f[0])
+                    s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix)
+                                             else _principal_block(f[0], f[1]))
                 sign, log = sign * s, log + f[2] * logdet
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log))
@@ -406,13 +429,10 @@ class SymMatrix:
 
     def _det(self, labels: Iterable[str] | None = None) -> _Det:
         """:meth:`det` with the pivots of its Cholesky factor, as :func:`_factored_det` gives it."""
-        return _factored_det(self._block(labels))
+        return _principal_det(self.values, None if labels is None else self.positions(labels))
 
     def _block(self, labels: Iterable[str] | None) -> np.ndarray:
-        if labels is None:
-            return self.values
-        idx = np.array(self.positions(labels), dtype=np.intp)
-        return self.values[idx[:, None], idx]
+        return _principal_block(self.values, None if labels is None else self.positions(labels))
 
     def inverse(self) -> "SymMatrix":
         """Inverse via Cholesky; raises NotPositiveDefiniteError unless the

@@ -30,9 +30,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Path, PathRows, _path_indices
-from .inflation import inflation_factor
-from .model import CustomScaling, Kind, Measure, Model
-from .symmetric import SymMatrix, _factored_det, chol_dets, det_product
+from .inflation import _complement_inflation
+from .model import CustomScaling, Kind, Measure, Model, _inflated_block, _pcor_block
+from .symmetric import SymMatrix, _principal_det, chol_dets, det_product
 
 #: Weights at or below this magnitude are treated as zero by sign checks.
 DEFAULT_ZERO_TOL = 1e-12
@@ -52,7 +52,8 @@ class _PathKernel:
     set's first row: its first row in the first call that meets the set, in
     the order the rows are given. So rows must arrive in the caller's
     visiting order: every weight is then bit for bit what evaluating each path
-    in that order gives. A single path takes its block in storage order.
+    in that order gives. A single path takes its block in storage order, by
+    integer position, blocks of up to 3 vertices in closed form.
     Where the direct product is not finite (on long paths |M_PP| can overflow
     while the edge product underflows), or is 0 with no factor 0, the weight
     is taken by :func:`det_product`, which falls back to log space.
@@ -93,14 +94,13 @@ class _PathKernel:
 
     def single(self, seq: list[int], scale: float) -> float:
         """The weight of one path given by vertex indices, without batching."""
-        idx = np.array(sorted(self.pos[self.labels[i]] for i in seq))
-        block = self.values[idx[:, None], idx]
-        sign, det = (1.0 if len(seq) % 2 else -1.0), _factored_det(block)
+        idx = sorted(self.pos[self.labels[i]] for i in seq)
+        sign, det = (1.0 if len(seq) % 2 else -1.0), _principal_det(self.values, idx)
         prod = _edge_product(self.kappa, seq)
         out = sign * det.value * prod * scale
         if out != 0.0 and math.isfinite(out):
             return out
-        return det_product(((block, None, 1), (self.kappa[seq[:-1], seq[1:]],), ((sign, scale),)),
+        return det_product(((self.values, idx, 1), (self.kappa[seq[:-1], seq[1:]],), ((sign, scale),)),
                            (det, prod, sign * scale))
 
 
@@ -111,12 +111,12 @@ def _edge_product(values: np.ndarray, seq: list[int]) -> float:
 
 def _edge_run(m: Model, seq: list[int]) -> tuple[list[float]]:
     """The edge partial correlations along ``seq``, as a :func:`det_product` run."""
-    return (list(map(m.partial_corr.values.item, seq, seq[1:])),)
+    return (list(map(m._pcor, seq, seq[1:])),)
 
 
 def _i_minus_r(m: Model, idx: np.ndarray) -> np.ndarray:
-    """(I - R)_{idx,idx} for ascending vertex indices ``idx``, without forming I - R."""
-    return np.eye(len(idx)) - m.partial_corr.values[idx[:, None], idx]
+    """(I - R)_{idx,idx} for ascending vertex indices ``idx``, from K's block."""
+    return np.eye(len(idx)) - _pcor_block(m.kappa.values[idx[:, None], idx])
 
 
 def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
@@ -160,13 +160,19 @@ def weight(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> float:
 
 def _partial(m: Model, path: Path, a: Iterable[str] | None):
     """Indices of the checked ``path``, restriction A (V(path) <= A <= V, default
-    V(path)), its complement and Sigma_{PP.Abar}, the partial weight's covariance."""
+    V(path)) and Sigma_{PP.Abar}, the partial weight's covariance.
+
+    With A = V(path) and Abar its nonempty complement, Sigma_{PP.Abar} is
+    (K_PP)^-1, a |P| x |P| inverse in place of a Schur complement on the
+    other p - |P| vertices; any other A takes the Schur complement of Abar.
+    """
     seq = _path_indices(m.graph, path)
     a = m.graph.require_vertices(path.vertex_set if a is None else a)
     if not path.vertex_set <= set(a):
         raise ValueError("conditioning set must contain every vertex of the path")
-    abar = m.graph.complement(a)
-    return seq, a, abar, m.sigma.schur_complement(path.vertex_set, abar)
+    if len(a) == len(seq) < m.sigma.dim:
+        return seq, a, m.kappa.submatrix(a).inverse()
+    return seq, a, m.sigma.schur_complement(path.vertex_set, m.graph.complement(a))
 
 
 def partial_weight(
@@ -184,7 +190,7 @@ def partial_weight(
     conditional variances, matching the correlation matrix of the conditional
     distribution.
     """
-    seq, _, _, cond = _partial(m, path, a)
+    seq, _, cond = _partial(m, path, a)
     return _PathKernel(m, cond).single(seq, _endpoint_scale(m, kind, cond, path.x, path.y))
 
 
@@ -220,7 +226,7 @@ def factorize(
     kind: Kind = Measure.COVARIANCE,
 ) -> WeightBreakdown:
     """Split the weight of ``path`` into partial weight and inflation factor."""
-    seq, a, abar, cond = _partial(m, path, a)
+    seq, a, cond = _partial(m, path, a)
     scale = _endpoint_scale(m, kind, cond, path.x, path.y)
     full = _endpoint_scale(m, kind, m.sigma, path.x, path.y)
     return WeightBreakdown(
@@ -230,7 +236,8 @@ def factorize(
         weight=_PathKernel(m).single(seq, full),
         partial_weight=_PathKernel(m, cond).single(seq, scale),
         # |Sigma_PP| / |Sigma_PP.Abar|, exactly 1 on an empty Abar
-        inflation=det_product(((m.sigma, path.vertex_set, 1), (cond, None, -1))) if abar else 1.0,
+        inflation=det_product(((m.sigma.values, sorted(seq), 1), (cond, None, -1)))
+        if len(a) < m.sigma.dim else 1.0,
         endpoint_inflation=scale / full,
         phi=_normalized(m, seq),
     )
@@ -250,7 +257,8 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     """
     seq = _path_indices(m.graph, path)
     on = np.array(sorted(seq))
-    return det_product(((m.inflated.values[on[:, None], on], None, 1), _edge_run(m, seq)))
+    block = _inflated_block(m.sigma.values[on[:, None], on], np.diagonal(m.kappa.values)[on])
+    return det_product(((block, None, 1), _edge_run(m, seq)))
 
 
 def partial_inflated_weight_explicit(m: Model, path: Path) -> float:
@@ -323,8 +331,9 @@ def edge_measures(m: Model, edge: Sequence[str]) -> EdgeMeasures:
     if not m.graph.has_edge(u, v):
         raise ValueError(f"{u!r}--{v!r} is not an edge of the graph")
     u, v = (u, v) if u <= v else (v, u)
-    pc = m.partial_corr.entry(u, v)
-    infl = inflation_factor(m, (u, v))
+    idx = sorted((m.graph._index[u], m.graph._index[v]))
+    pc = m._pcor(*idx)
+    infl = _complement_inflation(m, idx)
     return EdgeMeasures(
         edge=(u, v),
         pc=pc,

@@ -42,6 +42,15 @@ def triangle():
     return Model.from_partial_correlations(g, pc)
 
 
+@pytest.fixture(scope="session")
+def sparse_model():
+    """A p=120 model on a random tree plus 5 chords, seeded: the large sparse
+    shape on which single queries must not touch p x p work they do not need.
+    Its label order differs from its vertex order past v99."""
+    rng = np.random.default_rng(120)
+    return random_model(rng, 120, 0.0, graph=tree_with_chords(rng, 120, 5))
+
+
 # -- random model construction ----------------------------------------------
 
 
@@ -101,6 +110,16 @@ def random_tree_model(rng: np.random.Generator, p: int, rescale: bool = True) ->
     edges = [(names[int(rng.integers(0, i))], names[i]) for i in range(1, p)]
     graph = Graph(names, edges)
     return random_model(rng, p, density=0.0, rescale=rescale, graph=graph)
+
+
+def tree_with_chords(rng: np.random.Generator, p: int, chords: int) -> Graph:
+    """A uniformly random labelled tree plus ``chords`` distinct extra edges."""
+    names = vertex_names(p)
+    edges = {(names[int(rng.integers(0, i))], names[i]) for i in range(1, p)}
+    while len(edges) < p - 1 + chords:
+        i, j = sorted(int(v) for v in rng.choice(p, size=2, replace=False))
+        edges.add((names[i], names[j]))
+    return Graph(names, edges)
 
 
 def random_decomposable_graph(rng: np.random.Generator, p: int) -> Graph:

@@ -17,6 +17,7 @@ from conftest import (
     random_decomposable_graph,
     random_graph,
     random_model,
+    tree_with_chords,
     vertex_names,
 )
 
@@ -141,15 +142,6 @@ def full_inverse_ips(sample, graph, tol=1e-9, max_iter=10000):
         if np.abs((fitted - s)[constrained]).max() < tol:
             return (fitted + fitted.T) / 2.0
     raise AssertionError("reference IPS did not converge")
-
-
-def tree_with_chords(rng, p, chords):
-    names = vertex_names(p)
-    edges = {(names[int(rng.integers(0, i))], names[i]) for i in range(1, p)}
-    while len(edges) < p - 1 + chords:
-        i, j = sorted(int(v) for v in rng.choice(p, size=2, replace=False))
-        edges.add((names[i], names[j]))
-    return Graph(names, edges)
 
 
 def differential_graphs():
