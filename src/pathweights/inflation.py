@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .model import Model
-from .symmetric import det_product
+from .symmetric import _Det, _principal_det, det_product
 
 
 def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None) -> float:
@@ -49,7 +51,8 @@ def _complement_inflation(m: Model, idx: list[int]) -> float:
     is the complement of A; blocks of up to 3 vertices in closed form."""
     if not 0 < len(idx) < m.sigma.dim:
         return 1.0
-    return det_product(((m.sigma.values, idx, 1), (m.kappa.values, idx, 1)))
+    factors = ((m.sigma.values, idx, 1), (m.kappa.values, idx, 1))
+    return det_product(factors, [_principal_det(mat, idx) for mat, _, _ in factors])
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,12 @@ def global_collinearity(
     """
     if kind not in ("variance", "partial-variance"):
         raise ValueError(f"kind must be 'variance' or 'partial-variance', got {kind!r}")
+    mat, e = (m.sigma, -1) if kind == "variance" else (m.kappa, 1)
+    dets = None
     if partition is None:
         blocks = [[i] for i in range(m.sigma.dim)]
+        # each singleton's determinant is its diagonal entry, the 1 x 1 closed form
+        dets = [_Det(d, None, True) for d in np.diagonal(mat.values).tolist()] + [m.sigma._det()]
     else:
         labels = [m.graph.require_vertices(block) for block in partition]
         flat = [v for block in labels for v in block]
@@ -141,5 +148,4 @@ def global_collinearity(
         if set(flat) != set(m.graph.vertices):
             raise ValueError("partition must cover every vertex")
         blocks = [m.sigma.positions(block) for block in labels]
-    mat, e = (m.sigma, -1) if kind == "variance" else (m.kappa, 1)
-    return det_product([(mat.values, block, 1) for block in blocks] + [(m.sigma.values, None, e)])
+    return det_product([(mat.values, block, 1) for block in blocks] + [(m.sigma.values, None, e)], dets)
