@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import Model
-from .symmetric import _Det, _principal_det, det_product
+from .symmetric import _Det, det_product
 
 
 def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None) -> float:
@@ -51,8 +51,7 @@ def _complement_inflation(m: Model, idx: list[int]) -> float:
     is the complement of A; blocks of up to 3 vertices in closed form."""
     if not 0 < len(idx) < m.sigma.dim:
         return 1.0
-    factors = ((m.sigma.values, idx, 1), (m.kappa.values, idx, 1))
-    return det_product(factors, [_principal_det(mat, idx) for mat, _, _ in factors])
+    return det_product(((m.sigma.values, idx, 1), (m.kappa.values, idx, 1)))
 
 
 @dataclass(frozen=True)
