@@ -103,28 +103,33 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
         # vertex set has one length, and the walk yields each length's rows in
         # label order, so the first row of a set within the first target that
         # reaches it is the label-first row there, as in a full label sort:
-        # the kernel takes the same blocks. The sums below are fsum, which no
-        # order changes.
-        order = np.argsort(last, kind="stable")
+        # the kernel takes the same blocks. The sums below are fsum's, which no
+        # order changes. A stable sort of keys this small is a radix sort.
+        order = np.argsort(last.astype(np.min_scalar_type(n)), kind="stable")
         order = order[last[order] > x]
         rows, last = PathRows(*(field[order] for field in rows)), last[order]
         wts = np.abs(kernel(rows, d[x] * d[last]))
+        # vertices strictly inside each path: its set without its two ends
         on_path = np.unpackbits(rows.keys.astype("<u8").view(np.uint8), axis=1,
                                 bitorder="little")[:, :n].astype(bool)
-        bounds = np.searchsorted(last, np.arange(x + 1, n + 1))
-        for y, lo, hi in zip(range(x + 1, n), bounds[:-1].tolist(), bounds[1:].tolist()):
-            if lo == hi:  # no path: x and y lie in different components
+        on_path[:, x] = False
+        on_path[np.arange(len(last)), last] = False
+        bounds = np.searchsorted(last, np.arange(x + 1, n + 1)).tolist()
+        reached = [(y, lo) for y, lo, hi in zip(range(x + 1, n), bounds, bounds[1:]) if lo < hi]
+        starts = [lo for _, lo in reached]
+        denoms, numers = _group_sums(wts, on_path, starts)
+        crossed = np.logical_or.reduceat(on_path, starts).tolist() if starts else []
+        found = dict(zip([y for y, _ in reached], zip(denoms, numers, crossed)))
+        for y in range(x + 1, n):
+            sums = found.get(y)
+            if sums is None or sums[0] < DENOMINATOR_TOL:
+                # no path (x and y lie in different components), or the 0/0 guard
                 skipped.append((vertices[x], vertices[y]))
                 continue
-            w = wts[lo:hi]
-            denom = math.fsum(w.tolist())
-            if denom < DENOMINATOR_TOL:
-                skipped.append((vertices[x], vertices[y]))
-                continue
-            through = on_path[lo:hi]
-            through[:, [x, y]] = False
-            for v in np.flatnonzero(through.any(axis=0)).tolist():
-                ratios[v].append(math.fsum(w[through[:, v]].tolist()) / denom)
+            denom, numer, through = sums
+            for v in range(n):
+                if through[v]:
+                    ratios[v].append(numer[v] / denom)
 
     raw = {v: math.fsum(r) for v, r in zip(vertices, ratios)}
     values = list(raw.values())
@@ -145,6 +150,59 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
         skipped_pairs=tuple(skipped),
         degenerate=degenerate,
     )
+
+
+def _group_sums(w: np.ndarray, on_path: np.ndarray, starts: list[int]) -> tuple[list[float], list[list[float]]]:
+    """``math.fsum`` of ``w`` over each group of rows, and per column v, over
+    the group's rows whose ``on_path`` holds v.
+
+    Group g is rows ``starts[g]`` up to the next start (the last runs to the
+    end). The sums come from :func:`_exact_parts`: a part sums exactly in any
+    order, so ``reduceat`` and matrix products (times 0 or 1) sum each part
+    exactly, and an fsum over a group's few part sums equals the fsum over
+    its entries. Entries that are not all finite take fsum over the entries.
+    """
+    if not starts:
+        return [], []
+    ends = starts[1:] + [len(w)]
+    parts = _exact_parts(w) if np.isfinite(w).all() else None
+    if parts is None:
+        return ([math.fsum(w[lo:hi].tolist()) for lo, hi in zip(starts, ends)],
+                [[math.fsum(w[lo:hi][col].tolist()) for col in on_path[lo:hi].T]
+                 for lo, hi in zip(starts, ends)])
+    parts = np.stack(parts, axis=1)
+    through = on_path.T.astype(float)
+    denoms = np.add.reduceat(parts, starts)
+    # + 0.0: a negative part entry times 0.0 is -0.0, which fsum would keep
+    numers = np.stack([through[:, lo:hi] @ parts[lo:hi] for lo, hi in zip(starts, ends)]) + 0.0
+    fsum = math.fsum
+    return ([fsum(d) for d in denoms.tolist()],
+            [[fsum(c) for c in group] for group in numers.tolist()])
+
+
+def _exact_parts(r: np.ndarray) -> list[np.ndarray] | None:
+    """Finite ``r`` as parts q_1 + q_2 + ... that add up to it exactly, each
+    on a grid where any sum of at most len(r) of its entries is exact.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", 2008): with max|r| < 2^e and sigma = 2^(e + ceil(log2(N + 1)) + 1),
+    q = (sigma + r) - sigma and r - q are exact, every q is a multiple of
+    2^-53 sigma of magnitude at most 2^e, and a sum of N of them stays below
+    sigma / 2. The residual r - q, negative in places, is split in turn until
+    it is 0. None if a sigma would overflow.
+    """
+    lift = len(r).bit_length() + 1
+    parts = []
+    while True:
+        e = math.frexp(float(np.abs(r).max(initial=0.0)))[1] + lift
+        if e > 1023:
+            return None
+        sigma = math.ldexp(1.0, e)
+        q = (sigma + r) - sigma
+        r = r - q
+        parts.append(q)
+        if not r.any():
+            return parts
 
 
 def degree_centrality(m: Model) -> dict[str, int]:

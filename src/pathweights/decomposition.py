@@ -29,8 +29,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import UndefinedShareError
-from .graphs import DEFAULT_PATH_CAP, Graph, Path, PathRows, _gather, _lex_order, _pair_paths, _walk
+from .errors import PathExplosionError, UndefinedShareError
+from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _gather, _lex_order, _pair_paths,
+                     _source_paths, _target_rows, _walk)
 from .model import Kind, Measure, Model
 from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
@@ -151,11 +152,12 @@ def decompose(
     src, dst = (x, y) if x <= y else (y, x)
     g = m.graph
     if a is None:
-        cond, allowed = m.sigma, None
+        cond = m.sigma
+        rows = _shared_pair_paths(m, g._index[src], g._index[dst], cap)
     else:
-        cond, allowed = m.sigma.schur_complement(a, g.complement(a)), g._mask(a)
+        cond = m.sigma.schur_complement(a, g.complement(a))
+        rows = _pair_paths(g, g._index[src], g._index[dst], g._mask(a), cap=cap, edge_values=m.kappa.values)
     kernel = _PathKernel(m, cond)
-    rows = _pair_paths(g, g._index[src], g._index[dst], allowed, cap=cap, edge_values=kernel.kappa)
     scale = _endpoint_scale(m, kind, cond, src, dst)
     weights = kernel(rows, scale)
 
@@ -181,6 +183,44 @@ def decompose(
         residual=residual,
         same_signed=len(signs) <= 1,
     )
+
+
+def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
+    """``_pair_paths`` of vertices x and y with K's edge products, through the
+    model's walk slot ``Model._walks``, so that consecutive calls from one
+    source walk from it once.
+
+    The slot holds one key, (x, the x-y route, cap), and what is known for
+    it. A call with another key walks its pair and puts its own key in the
+    slot. The second consecutive call with a key walks every path from x
+    inside the route (:func:`_source_paths`) and keeps the rows; that call
+    and later ones with the key slice their target's rows from them, which
+    are ``_pair_paths``'s rows bit for bit: every x-y path lies in the route,
+    and its product is taken in the same order from the same source. If that
+    walk exceeds ``cap`` (another target's paths, or all of them), the slot
+    says so and the calls walk their pairs, so only a pair's own paths can
+    make its call raise.
+    """
+    g = m.graph
+    route = g._blockcut.route(x, y)
+    key = (x, route.tobytes(), cap)
+    held = m._walks
+    if held is None or held[0] != key:
+        m._walks = (key, None)
+    else:
+        walked = held[1]
+        if walked is None:
+            try:
+                walked = _source_paths(g, x, route, cap=cap, edge_values=m.kappa.values)
+            except PathExplosionError:
+                walked = ()
+            else:
+                for field in walked[0]:
+                    field.flags.writeable = False  # shared by the calls that slice it
+            m._walks = (key, walked)  # one store: a reader sees the old tuple or this one
+        if walked:
+            return _target_rows(*walked, y)
+    return _pair_paths(g, x, y, cap=cap, edge_values=m.kappa.values)
 
 
 def subset_share(report: DecompositionReport, predicate: Callable[[Path], bool]) -> float:
@@ -224,9 +264,11 @@ def rank_paths(
     # Weigh in the order of vertex pairs, as ``combinations(vertices, 2)`` lists
     # them, each pair's paths in label order. A pair's rows all come from the
     # walk from its label-first end, which yields them in label order, so a
-    # stable grouping by pair keeps them so.
+    # stable grouping by pair keeps them so (a radix sort, on keys this small).
+    n = len(g.vertices)
     ends = rows.seqs[:, [0, -1]].astype(np.intp)
-    order = np.argsort(ends.min(axis=1) * len(g.vertices) + ends.max(axis=1), kind="stable")
+    pair = ends.min(axis=1) * n + ends.max(axis=1)
+    order = np.argsort(pair.astype(np.min_scalar_type(n * n)), kind="stable")
     rows = PathRows(*(field[order] for field in rows))
     kdiag = np.diagonal(kernel.kappa)
     scale = np.sqrt(kdiag[rows.seqs[:, 0]] * kdiag[rows.seqs[:, -1]])

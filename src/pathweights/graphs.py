@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +51,7 @@ def _normalize_edge(u: str, v: str) -> tuple[str, str]:
 class Graph:
     """Undirected graph with ordered vertex labels and no self-loops."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_vset", "_index", "_rank", "_nbr_lists",
+    __slots__ = ("vertices", "edges", "_adj", "_vset", "_index", "_rank", "_names", "_nbr_lists",
                  "_indptr", "_indices", "_blockcut")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Sequence[str]] = ()):
@@ -78,13 +76,15 @@ class Graph:
         self.edges = frozenset(norm)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._vset = frozenset(vset)
-        # integer view for the path walk: vertex i is vertices[i]. Its
-        # neighbours, sorted by label, are _nbr_lists[i], and in CSR form
-        # _indices[_indptr[i]:_indptr[i + 1]]; _rank[i] is the label rank of
-        # i (_rank[-1] = -1 ranks the -1 padding of path rows).
+        # integer view for the path walk: vertex i is vertices[i], and
+        # _names[i] in an object array that gathers the labels of index
+        # arrays. Its neighbours, sorted by label, are _nbr_lists[i], and in
+        # CSR form _indices[_indptr[i]:_indptr[i + 1]]; _rank[i] is the label
+        # rank of i (_rank[-1] = -1 ranks the -1 padding of path rows).
         n = len(vertices)
         index = {v: i for i, v in enumerate(vertices)}
         self._index = index
+        self._names = np.array(vertices, dtype=object)
         self._rank = np.full(n + 1, -1, dtype=np.int32)
         self._rank[[index[v] for v in sorted(vertices)]] = np.arange(n)
         self._nbr_lists = [[index[w] for w in self._adj[v]] for v in vertices]
@@ -270,7 +270,7 @@ class _BlockCutTree:
         return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Simple path: an ordered sequence of at least two distinct vertices."""
 
@@ -278,18 +278,16 @@ class Path:
 
     def __post_init__(self):
         seq = tuple(self.sequence)
-        object.__setattr__(self, "sequence", seq)
+        _set_sequence(self, seq)
         if len(seq) < 2:
             raise InvalidPathError("a path needs at least two vertices")
         if len(set(seq)) != len(seq):
             raise InvalidPathError(f"path vertices must be distinct: {seq}")
 
-    @classmethod
-    def _wrap(cls, sequence: tuple[str, ...]) -> "Path":
-        """Construct without validation; callers guarantee a legal sequence."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "sequence", sequence)
-        return p
+    def __setstate__(self, state) -> None:
+        # a list of field values, or the __dict__ that pickles of the
+        # slotless class held (with a cached ``vertex_set`` perhaps)
+        _set_sequence(self, state["sequence"] if isinstance(state, dict) else state[0])
 
     @property
     def x(self) -> str:
@@ -299,7 +297,7 @@ class Path:
     def y(self) -> str:
         return self.sequence[-1]
 
-    @cached_property
+    @property
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.sequence)
 
@@ -326,6 +324,10 @@ class Path:
 
     def __str__(self) -> str:
         return " -- ".join(self.sequence)
+
+
+#: The slot setter of ``Path.sequence``, past the frozen ``__setattr__``.
+_set_sequence = Path.sequence.__set__
 
 
 def validate_path(graph: Graph, path: Path) -> None:
@@ -363,12 +365,16 @@ class PathRows(NamedTuple):
     prods: np.ndarray
 
     def paths(self, graph: Graph) -> list[Path]:
-        """The rows as :class:`Path` objects (rows converted a chunk at a time)."""
-        names, wrap = graph.vertices, Path._wrap
-        return [wrap(itemgetter(*row[:n])(names))
-                for i in range(0, len(self.seqs), _CHUNK_ROWS)
-                for row, n in zip(self.seqs[i:i + _CHUNK_ROWS].tolist(),
-                                  self.lengths[i:i + _CHUNK_ROWS].tolist())]
+        """The rows as :class:`Path` objects (rows converted a chunk at a time,
+        their labels gathered by one index of an object array per chunk)."""
+        names, new, out = graph._names, object.__new__, []
+        for i in range(0, len(self.seqs), _CHUNK_ROWS):
+            for row, n in zip(names[self.seqs[i:i + _CHUNK_ROWS]].tolist(),
+                              self.lengths[i:i + _CHUNK_ROWS].tolist()):
+                path = new(Path)  # unchecked: the walk gives legal sequences
+                _set_sequence(path, tuple(row[:n]))
+                out.append(path)
+        return out
 
 
 def _walk(
@@ -573,6 +579,46 @@ def _pair_paths(
                          edge_values=edge_values), (len(graph.vertices) + 63) // 64)
     order = _lex_order(graph, rows.seqs)
     return PathRows(*(field[order] for field in rows))
+
+
+def _source_paths(
+    graph: Graph,
+    x: int,
+    allowed: np.ndarray,
+    cap: int = DEFAULT_PATH_CAP,
+    edge_values: np.ndarray | None = None,
+) -> tuple[PathRows, list[int]]:
+    """Every simple path from vertex ``x`` that stays in ``allowed``, ordered by
+    target vertex and then by label sequence, and the bounds of each target's
+    rows: those ending at vertex y are ``rows[bounds[y]:bounds[y + 1]]``.
+
+    For a y whose x-y route lies in ``allowed`` (see :func:`_pair_paths`),
+    :func:`_target_rows` of y gives the rows, products included, of
+    ``_pair_paths(graph, x, y, allowed, cap=cap, edge_values=edge_values)``.
+    More than ``cap`` paths ending at one vertex, or more than ``cap`` in
+    all, raise PathExplosionError.
+    """
+    blocks, total = [], 0
+    for block in _walk(graph, x, allowed=allowed, cap=cap, edge_values=edge_values):
+        total += len(block[0])
+        if total > cap:
+            raise PathExplosionError(cap=cap, found=total)
+        blocks.append(block)
+    rows = _gather(blocks, (len(graph.vertices) + 63) // 64)
+    last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
+    order = _lex_order(graph, rows.seqs, last)
+    bounds = np.searchsorted(last[order], np.arange(len(graph.vertices) + 1)).tolist()
+    return PathRows(*(field[order] for field in rows)), bounds
+
+
+def _target_rows(rows: PathRows, bounds: list[int], y: int) -> PathRows:
+    """The rows of :func:`_source_paths` that end at vertex ``y``, padded to
+    their own longest path, as :func:`_pair_paths` gives them."""
+    lo, hi = bounds[y], bounds[y + 1]
+    if lo == hi:
+        return _gather((), rows.keys.shape[1])
+    lengths = rows.lengths[lo:hi]
+    return PathRows(rows.seqs[lo:hi, :lengths.max()], lengths, rows.keys[lo:hi], rows.prods[lo:hi])
 
 
 def enumerate_paths(

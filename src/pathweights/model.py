@@ -85,18 +85,33 @@ class Model:
 
     A model keeps Sigma and K; ``omega``, ``partial_corr`` and ``inflated``
     are read-only properties, each computed on its first read and kept.
-    Otherwise immutable after construction, and safe to share across
-    threads: concurrent first reads of a derived matrix each compute it from
-    the same operands, so they get equal values. No analysis writes to a
-    model: state such as the block determinants a decomposition shares
-    between its paths lives in that one call. Use the classmethods
-    :meth:`from_sigma` and :meth:`from_partial_correlations` rather than the
-    constructor unless you already hold a concentration matrix known to be
-    exact (the fitting code does).
+    Its graph and matrices are immutable after construction. Analyses keep
+    two memos on it, so that calls on one model share work:
+
+    - ``_dets``: the determinant of each block of Sigma that a path-weight
+      kernel has factored, keyed by the block's storage positions in the
+      order it was taken (see ``weights._PathKernel``); at most
+      ``weights.DET_MEMO_SIZE`` blocks, after which no more are added.
+    - ``_walks``: one slot for unrestricted ``decompose`` calls, keyed by
+      (source, the pair's route of blocks, cap). The second consecutive call
+      with a key walks every path from the source in the route once, and
+      that call and later ones take their target's rows from it (see
+      ``decomposition._shared_pair_paths``). It holds one source's paths,
+      and never more than ``cap`` of them.
+
+    Both hold values that depend only on the model and their key, so a value
+    read from them has the bits the reader would compute itself. A model is
+    safe to share across threads: concurrent first reads of a derived matrix
+    each compute it from the same operands; a memo entry is written whole,
+    and the walk slot is replaced by one assignment of a new tuple, so a
+    reader sees the old slot or the new one, and at worst walks again. Use
+    the classmethods :meth:`from_sigma` and :meth:`from_partial_correlations`
+    rather than the constructor unless you already hold a concentration
+    matrix known to be exact (the fitting code does).
     """
 
     __slots__ = ("graph", "sigma", "kappa", "tol", "source_kind", "_inflated_det",
-                 "_omega", "_partial_corr", "_inflated")
+                 "_omega", "_partial_corr", "_inflated", "_dets", "_walks")
 
     def __init__(
         self,
@@ -122,6 +137,8 @@ class Model:
         self.tol = tol
         self.source_kind = source_kind
         self._omega = self._partial_corr = self._inflated = None
+        self._dets: dict[tuple[int, ...], float] = {}
+        self._walks: tuple | None = None
         self._check_adapted()
         dk = np.sqrt(np.diagonal(kappa.values))
         # |varrho| = |Sigma| * prod k_vv, from the factor of Sigma; closed forms up to p = 3

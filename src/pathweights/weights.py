@@ -24,6 +24,7 @@ the rest of the network.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,11 @@ from .symmetric import SymMatrix, _principal_det, chol_dets, det_product
 
 #: Weights at or below this magnitude are treated as zero by sign checks.
 DEFAULT_ZERO_TOL = 1e-12
+
+#: Most ordered blocks whose determinant a model's memo keeps (``Model._dets``).
+DET_MEMO_SIZE = 1 << 14
+
+_MEMO_LOCK = threading.Lock()
 
 
 # -- the path-weight kernel -------------------------------------------------
@@ -57,34 +63,63 @@ class _PathKernel:
     Where the direct product is not finite (on long paths |M_PP| can overflow
     while the edge product underflows), or is 0 with no factor 0, the weight
     is taken by :func:`det_product`, which falls back to log space.
+
+    On Sigma, a determinant is also looked up in, and kept in, the model's
+    memo ``Model._dets``, keyed by the block's storage positions in the order
+    it is taken: a block's determinant depends on that ordered block alone
+    (see :func:`chol_dets`), so a value found there has the bits the kernel
+    would compute. The memo keeps at most :data:`DET_MEMO_SIZE` blocks.
     """
 
     def __init__(self, m: Model, mat: SymMatrix | None = None):
         mat = m.sigma if mat is None else mat
         self.values, self.pos, self.labels = mat.values, mat._pos, m.vertices
+        self.names = m.graph._names
         #: concentration matrix in graph vertex order: the walk's edge values
         self.kappa = m.kappa.values
         self._dets: dict[int | bytes, float] = {}
+        self._memo = m._dets if mat is m.sigma else None
+
+    def _keep(self, found: Iterable[tuple[tuple[int, ...], float]]) -> None:
+        """Store (block, determinant) pairs in the model's memo while it has room."""
+        memo = self._memo
+        if memo is None:
+            return
+        with _MEMO_LOCK:  # the room check and the store as one step
+            for block, det in found:
+                if len(memo) >= DET_MEMO_SIZE:
+                    return
+                memo[block] = det
 
     def __call__(self, rows: PathRows, scale) -> np.ndarray:
         keys = rows.keys
-        keys = keys[:, 0] if keys.shape[1] == 1 else np.ascontiguousarray(keys).view(
-            np.dtype((np.void, keys.shape[1] * 8))).ravel()
+        if keys.shape[1] > 1:
+            keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
+        else:  # in the narrowest type: up to 16 vertices, unique's stable sort is a radix sort
+            keys = keys[:, 0].astype(np.min_scalar_type(keys.max(initial=0).item()))
         sets, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         sets = sets.tolist()
         dets = [self._dets.get(k) for k in sets]
         new = [j for j, det in enumerate(dets) if det is None]
-        by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
-        labels, pos = self.labels, self.pos
-        for j, row, n in zip(new, rows.seqs[first[new]].tolist(), rows.lengths[first[new]].tolist()):
-            js, blocks = by_size.setdefault(n, ([], []))
-            js.append(j)
-            blocks.append([pos[v] for v in frozenset([labels[i] for i in row[:n]])])
+        by_size: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+        position, memo = self.pos.__getitem__, self._memo or {}
+        for j, row, n in zip(new, self.names[rows.seqs[first[new]]].tolist(),
+                             rows.lengths[first[new]].tolist()):
+            block = tuple(map(position, frozenset(row[:n])))
+            det = memo.get(block)
+            if det is None:
+                js, blocks = by_size.setdefault(n, ([], []))
+                js.append(j)
+                blocks.append(block)
+            else:
+                dets[j] = self._dets[sets[j]] = det
         with np.errstate(over="ignore", invalid="ignore"):
             for js, blocks in by_size.values():
                 idx = np.array(blocks, dtype=np.intp)
-                for j, det in zip(js, chol_dets(self.values[idx[:, :, None], idx[:, None, :]])):
+                found = chol_dets(self.values[idx[:, :, None], idx[:, None, :]])
+                for j, det in zip(js, found):
                     dets[j] = self._dets[sets[j]] = det
+                self._keep(zip(blocks, found))
             sign = (rows.lengths & 1) * 2.0 - 1.0
             out = sign * np.array(dets)[inverse.ravel()] * rows.prods * scale
         scales = np.broadcast_to(scale, out.shape)
@@ -95,11 +130,20 @@ class _PathKernel:
     def single(self, seq: list[int], scale: float) -> float:
         """The weight of one path given by vertex indices, without batching."""
         idx = sorted(self.pos[self.labels[i]] for i in seq)
-        sign, det = (1.0 if len(seq) % 2 else -1.0), _principal_det(self.values, idx)
+        block = tuple(idx)
+        value = None if self._memo is None else self._memo.get(block)
+        det = None
+        if value is None:
+            det = _principal_det(self.values, idx)
+            value = det.value
+            self._keep([(block, value)])
+        sign = 1.0 if len(seq) % 2 else -1.0
         prod = _edge_product(self.kappa, seq)
-        out = sign * det.value * prod * scale
+        out = sign * value * prod * scale
         if out != 0.0 and math.isfinite(out):
             return out
+        if det is None:  # the memo keeps values only; det_product may need the pivots
+            det = _principal_det(self.values, idx)
         return det_product(((self.values, idx, 1), (self.kappa[seq[:-1], seq[1:]],), ((sign, scale),)),
                            (det, prod, sign * scale))
 
@@ -109,14 +153,28 @@ def _edge_product(values: np.ndarray, seq: list[int]) -> float:
     return math.prod(map(values.item, seq, seq[1:]), start=1.0)
 
 
+# Until a model's first read of R or of the inflated matrix, a query takes what
+# it needs of them from K and Sigma; after it, the query indexes the kept
+# matrix. Both give the same bits.
+
 def _edge_run(m: Model, seq: list[int]) -> tuple[list[float]]:
     """The edge partial correlations along ``seq``, as a :func:`det_product` run."""
-    return (list(map(m._pcor, seq, seq[1:])),)
+    r = m._partial_corr
+    return (list(map(m._pcor if r is None else r.values.item, seq, seq[1:])),)
 
 
 def _i_minus_r(m: Model, idx: np.ndarray) -> np.ndarray:
-    """(I - R)_{idx,idx} for ascending vertex indices ``idx``, from K's block."""
-    return np.eye(len(idx)) - _pcor_block(m.kappa.values[idx[:, None], idx])
+    """(I - R)_{idx,idx} for ascending vertex indices ``idx``."""
+    r = m._partial_corr
+    block = _pcor_block(m.kappa.values[idx[:, None], idx]) if r is None else r.values[idx[:, None], idx]
+    return np.eye(len(idx)) - block
+
+
+def _inflated_sub(m: Model, idx: np.ndarray) -> np.ndarray:
+    """The block of the inflated correlation matrix on ascending vertex indices ``idx``."""
+    if m._inflated is not None:
+        return m._inflated.values[idx[:, None], idx]
+    return _inflated_block(m.sigma.values[idx[:, None], idx], np.diagonal(m.kappa.values)[idx])
 
 
 def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
@@ -256,9 +314,7 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     taken in log space where the direct product overflows or underflows.
     """
     seq = _path_indices(m.graph, path)
-    on = np.array(sorted(seq))
-    block = _inflated_block(m.sigma.values[on[:, None], on], np.diagonal(m.kappa.values)[on])
-    return det_product(((block, None, 1), _edge_run(m, seq)))
+    return det_product(((_inflated_sub(m, np.array(sorted(seq))), None, 1), _edge_run(m, seq)))
 
 
 def partial_inflated_weight_explicit(m: Model, path: Path) -> float:
