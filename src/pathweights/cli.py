@@ -56,39 +56,28 @@ def _emit(report, args) -> None:
         _print_table(header, rows, args.precision)
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # not an integer: rejected with the same message
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+def _number(convert, above, what: str):
+    """An argparse type: ``convert(text)`` if it is finite and greater than
+    ``above``; otherwise, a text ``convert`` rejects included, the usage error
+    "must be {what}, got {text}"."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan  # not a number: rejected with the same message
+        if not above < value < math.inf:  # False for nan; exact for any int
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # not an integer: rejected with the same message
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # not a number: rejected with the same message
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number greater than 0, got {text}")
-    return value
+_NON_NEGATIVE_INT = _number(int, -1, "a non-negative integer")
+_POSITIVE_INT = _number(int, 0, "a positive integer")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--precision", type=_non_negative_int, default=2,
+    parser.add_argument("--precision", type=_NON_NEGATIVE_INT, default=2,
                         help="decimal places for human tables (default 2)")
 
 
@@ -280,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("--measure", choices=sorted(_MEASURES), default="cov")
     p.add_argument("--restrict", help="comma-separated vertex set containing x and y")
-    p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--cap", type=_POSITIVE_INT, default=DEFAULT_PATH_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_decompose)
 
@@ -292,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank-paths", help="rank equal-size paths by inflated-correlation weight")
     p.add_argument("model")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--top", type=_non_negative_int)
-    p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--vertices", type=_number(int, 1, "an integer of at least 2"), required=True)
+    p.add_argument("--top", type=_NON_NEGATIVE_INT)
+    p.add_argument("--cap", type=_POSITIVE_INT, default=DEFAULT_PATH_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_rank_paths)
 
@@ -307,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("covariance", help="sample covariance CSV (label header row/column)")
     p.add_argument("graph", help="model file providing the graph")
     p.add_argument("output", help="path of the fitted model file to write")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
-    p.add_argument("--max-iter", type=_positive_int, default=10000)
+    p.add_argument("--tol", type=_number(float, 0, "a finite number greater than 0"), default=1e-9)
+    p.add_argument("--max-iter", type=_POSITIVE_INT, default=10000)
     _add_common(p)
     p.set_defaults(handler=_cmd_fit)
 

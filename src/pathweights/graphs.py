@@ -51,43 +51,40 @@ def _normalize_edge(u: str, v: str) -> tuple[str, str]:
 class Graph:
     """Undirected graph with ordered vertex labels and no self-loops."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_vset", "_index", "_rank", "_names", "_nbr_lists",
+    __slots__ = ("vertices", "edges", "_index", "_rank", "_names", "_nbr_lists",
                  "_indptr", "_indices", "_blockcut")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Sequence[str]] = ()):
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ValueError("vertex labels must be unique")
-        vset = set(vertices)
         norm: set[tuple[str, str]] = set()
         for pair in edges:
             u, v = pair
             if u == v:
                 raise ValueError(f"self-loop {u!r}--{v!r} is not allowed")
-            missing = [w for w in (u, v) if w not in vset]
+            missing = [w for w in (u, v) if w not in index]
             if missing:
                 raise UnknownVertexError(missing)
             norm.add(_normalize_edge(u, v))
-        adj: dict[str, list[str]] = {v: [] for v in vertices}
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
         self.vertices = vertices
         self.edges = frozenset(norm)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._vset = frozenset(vset)
         # integer view for the path walk: vertex i is vertices[i], and
         # _names[i] in an object array that gathers the labels of index
         # arrays. Its neighbours, sorted by label, are _nbr_lists[i], and in
         # CSR form _indices[_indptr[i]:_indptr[i + 1]]; _rank[i] is the label
         # rank of i (_rank[-1] = -1 ranks the -1 padding of path rows).
         n = len(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
         self._index = index
         self._names = np.array(vertices, dtype=object)
         self._rank = np.full(n + 1, -1, dtype=np.int32)
         self._rank[[index[v] for v in sorted(vertices)]] = np.arange(n)
-        self._nbr_lists = [[index[w] for w in self._adj[v]] for v in vertices]
+        adj: list[list[str]] = [[] for _ in vertices]
+        for u, v in norm:
+            adj[index[u]].append(v)
+            adj[index[v]].append(u)
+        self._nbr_lists = [[index[w] for w in sorted(ns)] for ns in adj]
         self._indptr = np.cumsum([0] + [len(ns) for ns in self._nbr_lists], dtype=np.intp)
         self._indices = np.array([w for ns in self._nbr_lists for w in ns], dtype=np.int32)
         self._blockcut = _BlockCutTree(self)
@@ -95,15 +92,15 @@ class Graph:
     # -- basic accessors ---------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:
-        return vertex in self._vset
+        return vertex in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
         return _normalize_edge(u, v) in self.edges
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        if v not in self._vset:
+        if v not in self._index:
             raise UnknownVertexError([v])
-        return self._adj[v]
+        return tuple(self.vertices[w] for w in self._nbr_lists[self._index[v]])
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
@@ -114,7 +111,7 @@ class Graph:
     def require_vertices(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Validate membership and return ``labels`` in graph vertex order."""
         labels = set(labels)
-        missing = labels - self._vset
+        missing = labels - self._index.keys()
         if missing:
             raise UnknownVertexError(sorted(missing))
         return tuple(sorted(labels, key=self._index.__getitem__))
@@ -143,14 +140,14 @@ class Graph:
 
     def bfs_distances(self, source: str, restrict: Iterable[str] | None = None) -> dict[str, int]:
         """Unweighted distances from ``source`` to every reachable vertex."""
-        allowed = self._vset if restrict is None else set(self.require_vertices(restrict))
+        allowed = self._index if restrict is None else set(self.require_vertices(restrict))
         if source not in allowed:
             raise UnknownVertexError([source])
         dist = {source: 0}
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for w in self._adj[u]:
+            for w in map(self.vertices.__getitem__, self._nbr_lists[self._index[u]]):
                 if w in allowed and w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)

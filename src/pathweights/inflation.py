@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import Model
-from .symmetric import _Det, det_product
+from .symmetric import _Det, _principal_det, det_product
 
 
 def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None) -> float:
@@ -41,7 +41,8 @@ def inflation_factor(m: Model, a: Iterable[str], b: Iterable[str] | None = None)
         if not a or not b:
             return 1.0
         if len(a) + len(b) < m.sigma.dim:
-            return det_product(((m.sigma, a, 1), (m.sigma.schur_complement(a, b), None, -1)))
+            return det_product(((m.sigma.values, m.sigma.positions(a), 1),
+                                (m.sigma.schur_complement(a, b).values, None, -1)))
     return _complement_inflation(m, m.sigma.positions(a))
 
 
@@ -94,10 +95,12 @@ def inflation_factor_identities(
         one = 1.0
         return InflationIdentities(one, one, one, one if complement_case else None)
     union = m.graph.require_vertices(set(a) | set(b))
-    sigma = m.sigma
-    blocks = {"a": (sigma, a), "b": (sigma, b), "union": (sigma, union),
-              "a.b": (sigma.schur_complement(a, b), None), "b.a": (sigma.schur_complement(b, a), None)}
-    dets = {name: mat._det(labels) for name, (mat, labels) in blocks.items()}
+    sigma, kappa = m.sigma, m.kappa
+    blocks = {"a": (sigma.values, sigma.positions(a)), "b": (sigma.values, sigma.positions(b)),
+              "union": (sigma.values, sigma.positions(union)),
+              "a.b": (sigma.schur_complement(a, b).values, None),
+              "b.a": (sigma.schur_complement(b, a).values, None)}
+    dets = {name: _principal_det(*block) for name, block in blocks.items()}
 
     def ratio(*terms: tuple[str, int]) -> float:
         return det_product([(*blocks[name], e) for name, e in terms], [dets[name] for name, _ in terms])
@@ -106,7 +109,8 @@ def inflation_factor_identities(
         determinant_ratio=ratio(("a", 1), ("b", 1), ("union", -1)),
         partial_ratio=ratio(("a", 1), ("a.b", -1)),
         symmetric_ratio=ratio(("union", 1), ("a.b", -1), ("b.a", -1)),
-        concentration_ratio=det_product(((m.kappa, a, 1), (m.kappa, b, 1), (m.kappa, None, -1)))
+        concentration_ratio=det_product(((kappa.values, kappa.positions(a), 1),
+                                         (kappa.values, kappa.positions(b), 1), (kappa.values, None, -1)))
         if complement_case else None,
     )
 
@@ -138,7 +142,8 @@ def global_collinearity(
     if partition is None:
         blocks = [[i] for i in range(m.sigma.dim)]
         # each singleton's determinant is its diagonal entry, the 1 x 1 closed form
-        dets = [_Det(d, None, True) for d in np.diagonal(mat.values).tolist()] + [m.sigma._det()]
+        dets = [_Det(d, None, True) for d in np.diagonal(mat.values).tolist()]
+        dets.append(_principal_det(m.sigma.values))
     else:
         labels = [m.graph.require_vertices(block) for block in partition]
         flat = [v for block in labels for v in block]

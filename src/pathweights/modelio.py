@@ -32,7 +32,7 @@ import numpy as np
 
 from .centrality import CentralityTable
 from .decomposition import DecompositionReport
-from .errors import ModelFileError
+from .errors import InvalidMatrixError, ModelFileError
 from .graphs import Graph
 from .model import Model
 from .symmetric import SymMatrix
@@ -156,8 +156,9 @@ def save_model(model: Model, path, metadata: dict | None = None) -> None:
 def load_covariance_csv(path) -> SymMatrix:
     """Labelled covariance matrix from CSV with a label header row and column.
 
-    The matrix must be symmetric within a relative tolerance of 1e-12; after
-    validation it is symmetrized by averaging.
+    The matrix must be finite and symmetric within a relative tolerance of
+    1e-12; after validation it is symmetrized by averaging, as
+    :class:`SymMatrix` does.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -181,11 +182,10 @@ def load_covariance_csv(path) -> SymMatrix:
             values[i] = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise ModelFileError(f"{path}: row {i + 2} has a non-numeric entry: {exc}") from exc
-    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
-    asym = float(np.abs(values - values.T).max()) if values.size else 0.0
-    if asym > CSV_SYMMETRY_TOL * scale:
-        raise ModelFileError(f"{path}: matrix is not symmetric (max |a - a.T| = {asym:.3e})")
-    return SymMatrix(header, (values + values.T) / 2.0)
+    try:
+        return SymMatrix(header, values, symmetry_tol=CSV_SYMMETRY_TOL)
+    except InvalidMatrixError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
 
 
 def save_covariance_csv(matrix: SymMatrix, path) -> None:
@@ -208,6 +208,11 @@ def _round_floats(obj, digits: int = 12):
     return obj
 
 
+def _is_edge_report(report) -> bool:
+    """Whether ``report`` is a list of :class:`EdgeMeasures`, the empty one included."""
+    return isinstance(report, (list, tuple)) and all(isinstance(e, EdgeMeasures) for e in report)
+
+
 def report_rows(report) -> tuple[list[str], list[list]]:
     """Header and rows for the tabular (csv/tsv) rendering of a report."""
     if isinstance(report, DecompositionReport):
@@ -222,7 +227,7 @@ def report_rows(report) -> tuple[list[str], list[list]]:
         header = [""] + list(report.labels)
         rows = [[lab] + list(map(float, row)) for lab, row in zip(report.labels, report.values)]
         return header, rows
-    if isinstance(report, (list, tuple)) and report and isinstance(report[0], EdgeMeasures):
+    if _is_edge_report(report):
         header = ["u", "v", "pc", "npc", "nipc", "inflation"]
         rows = [[e.edge[0], e.edge[1], e.pc, e.npc, e.nipc, e.inflation] for e in report]
         return header, rows
@@ -237,7 +242,7 @@ def report_dict(report) -> dict:
         return _round_floats(
             {"labels": list(report.labels), "rows": [list(map(float, r)) for r in report.values]}
         )
-    if isinstance(report, (list, tuple)) and report and isinstance(report[0], EdgeMeasures):
+    if _is_edge_report(report):
         return _round_floats(
             {
                 "edges": [

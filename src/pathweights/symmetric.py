@@ -11,11 +11,14 @@ permutation bugs.
 Determinants and inverses go through Cholesky factorization (all matrices in
 scope are positive-definite principal submatrices); the determinant is the
 product of squared pivots, and its logarithm, for blocks whose determinant
-leaves the float range, twice the sum of the log pivots. Every product of
-determinants with each other or with scalars (path weights, their explicit
-forms, inflation factors, global collinearity) goes through
-:func:`det_product`, the one place that falls back to log space where the
-direct product overflows, underflows or divides by 0.
+leaves the float range, twice the sum of the log pivots. A determinant is
+taken by one routine, :func:`_principal_det`, on an array and the ascending
+integer positions of its block (closed forms up to three positions). Every
+product of determinants with each other or with scalars (path weights, their
+explicit forms, inflation factors, global collinearity) goes through
+:func:`det_product`, which takes each determinant factor in that one form,
+an array and its positions, and is the one place that falls back to log
+space where the direct product overflows, underflows or divides by 0.
 
 Inverses and Schur complements factor and solve with LAPACK's dpotrf and
 dpotrs from scipy's compiled wrapper ``scipy/linalg/_flapack``, loaded from
@@ -105,8 +108,8 @@ def _row_strips(n: int) -> Iterable[tuple[int, int]]:
 
 def _mean_with_transpose(a: np.ndarray) -> np.ndarray:
     """Overwrite the square array ``a`` with ``(a + a.T) / 2.0``, a strip of
-    rows at a time, and return it. Where the sum overflows, the entry is
-    ``a * 0.5 + a.T * 0.5``, the same mean without the overflow; every other
+    rows at a time, and return it. Where the sum overflows, the entry is the
+    sum of the two halves, the same mean without the overflow; every other
     entry keeps the bits of ``(a + a.T) / 2.0``. The mean is commutative, so
     the result is exactly symmetric."""
     n = len(a)
@@ -144,11 +147,11 @@ def chol_det(a: np.ndarray) -> float:
     Cholesky (product of squared pivots) with an LU fallback for
     symmetric-indefinite input, so the function is total.
     """
-    return _factored_det(a).value
+    return _principal_det(a).value
 
 
 class _Det(NamedTuple):
-    """A determinant taken by :func:`chol_det`, with the diagonal of the
+    """A determinant taken by :func:`_principal_det`, with the diagonal of the
     Cholesky factor it came from (None for the closed forms and for LU), and
     whether a closed form (n <= 3) gave it."""
 
@@ -157,29 +160,22 @@ class _Det(NamedTuple):
     closed: bool = False
 
 
-def _factored_det(a: np.ndarray) -> _Det:
-    """:func:`chol_det` of one matrix, keeping the pivots for a log-determinant."""
-    n = len(a)
+def _principal_det(a: np.ndarray, idx: Sequence[int] | None = None) -> _Det:
+    """:func:`chol_det` of the principal block of ``a`` on the ascending
+    positions ``idx`` (None: all of ``a``), keeping the pivots for a
+    log-determinant. Up to three positions, the entries are read one by one
+    into the closed forms, in the order the block's ``ravel`` gives them, so
+    no block is taken and the value has its bits."""
+    n = len(a) if idx is None else len(idx)
     if n <= 3:
-        return _Det(_closed_form_det(a.ravel().tolist(), n) if n else 1.0, None, True)
+        e = a.ravel().tolist() if idx is None else [a.item(i, j) for i in idx for j in idx]
+        return _Det(_closed_form_det(e, n) if n else 1.0, None, True)
+    a = _principal_block(a, idx)
     try:
         pivots = np.diagonal(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         return _Det(float(np.linalg.det(a)), None)
     return _Det(_square(math.prod(pivots.tolist())), pivots)
-
-
-def _principal_det(a: np.ndarray, idx: Sequence[int] | None = None) -> _Det:
-    """:func:`_factored_det` of the principal block of ``a`` on the ascending
-    positions ``idx`` (None: all of ``a``). Up to three positions, the entries
-    are read one by one into the closed forms, in the order the block's
-    ``ravel`` gives them, so no block is taken and the value has its bits."""
-    if idx is None:
-        return _factored_det(a)
-    n = len(idx)
-    if n <= 3:
-        return _Det(_closed_form_det([a.item(i, j) for i in idx for j in idx], n) if n else 1.0, None, True)
-    return _factored_det(_principal_block(a, idx))
 
 
 def _principal_block(a: np.ndarray, idx: Sequence[int] | None) -> np.ndarray:
@@ -204,7 +200,7 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
     """
     k, n = blocks.shape[:2]
     if k == 1:  # on Python floats: for one block, array calls cost more than the arithmetic
-        return [_factored_det(blocks[0]).value]
+        return [_principal_det(blocks[0]).value]
     if n == 0:
         return [1.0] * k
     if n <= 3:
@@ -212,7 +208,7 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
     try:
         factors = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        return [_factored_det(b).value for b in blocks]
+        return [_principal_det(b).value for b in blocks]
     if k < n:
         prods = [math.prod(np.diagonal(f).tolist()) for f in factors]
     else:
@@ -247,13 +243,12 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
     """Product of ``factors``, left to right from 1.0: the one routine that
     multiplies determinants together or with scalars.
 
-    A factor is ``(M, L, e)``, ``|M_LL| ** e`` with e = 1 or -1, for a
-    :class:`SymMatrix` M and labels L, or for an array M and its ascending
-    positions L (L None: all of M); or ``(v,)``, a run of scalars (edge
-    values, an endpoint scale) reduced left to right from 1.0 on its own,
-    then multiplied in. ``dets``, when given, holds each factor's value,
-    already taken by the caller: a run's product, and a determinant as
-    :func:`_factored_det` gives it.
+    A factor is ``(a, idx, e)``, ``|a_idx,idx| ** e`` with e = 1 or -1, for
+    an array ``a`` and its ascending positions ``idx`` (None: all of ``a``);
+    or ``(v,)``, a run of scalars (edge values, an endpoint scale) reduced
+    left to right from 1.0 on its own, then multiplied in. ``dets``, when
+    given, holds each factor's value, already taken by the caller: a run's
+    product, and a determinant as :func:`_principal_det` gives it.
 
     Where the direct product is not finite, or is 0 with no scalar 0, or
     divides by a determinant that underflows to 0, it is taken as
@@ -264,8 +259,7 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
     """
     runs = [list(map(float, f[0])) if len(f) == 1 else None for f in factors]
     if dets is None:
-        dets = [math.prod(v) if v is not None
-                else f[0]._det(f[1]) if isinstance(f[0], SymMatrix) else _principal_det(f[0], f[1])
+        dets = [math.prod(v) if v is not None else _principal_det(f[0], f[1])
                 for v, f in zip(runs, factors)]
     out = 1.0
     try:
@@ -287,8 +281,7 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
                 elif d.closed and d.value != 0.0 and math.isfinite(d.value):
                     s, logdet = math.copysign(1.0, d.value), math.log(abs(d.value))
                 else:
-                    s, logdet = chol_slogdet(f[0]._block(f[1]) if isinstance(f[0], SymMatrix)
-                                             else _principal_block(f[0], f[1]))
+                    s, logdet = chol_slogdet(_principal_block(f[0], f[1]))
                 sign, log = sign * s, log + f[2] * logdet
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log))
@@ -328,9 +321,7 @@ class SymMatrix:
                 raise InvalidMatrixError(
                     f"matrix is not symmetric: max |a - a.T| = {asym:.3e}"
                 )
-            # halves first: (a + a.T) / 2 overflows past about 9e307, and in the
-            # normal range the two round alike
-            a = a * 0.5 + a.T * 0.5
+            a = _mean_with_transpose(a)
         self._set(labels, a)
 
     @classmethod
@@ -425,14 +416,7 @@ class SymMatrix:
 
         The determinant of the empty-set block is 1 by convention.
         """
-        return self._det(labels).value
-
-    def _det(self, labels: Iterable[str] | None = None) -> _Det:
-        """:meth:`det` with the pivots of its Cholesky factor, as :func:`_factored_det` gives it."""
-        return _principal_det(self.values, None if labels is None else self.positions(labels))
-
-    def _block(self, labels: Iterable[str] | None) -> np.ndarray:
-        return _principal_block(self.values, None if labels is None else self.positions(labels))
+        return _principal_det(self.values, None if labels is None else self.positions(labels)).value
 
     def inverse(self) -> "SymMatrix":
         """Inverse via Cholesky; raises NotPositiveDefiniteError unless the

@@ -153,28 +153,19 @@ def _edge_product(values: np.ndarray, seq: list[int]) -> float:
     return math.prod(map(values.item, seq, seq[1:]), start=1.0)
 
 
-# Until a model's first read of R or of the inflated matrix, a query takes what
-# it needs of them from K and Sigma; after it, the query indexes the kept
-# matrix. Both give the same bits.
+# R and the inflated matrix are never read here: every query takes what it
+# needs of them from K and Sigma by integer position, with the float operations
+# that build them (``Model._pcor``, ``_pcor_block``, ``_inflated_block``), so
+# with the same bits.
 
 def _edge_run(m: Model, seq: list[int]) -> tuple[list[float]]:
     """The edge partial correlations along ``seq``, as a :func:`det_product` run."""
-    r = m._partial_corr
-    return (list(map(m._pcor if r is None else r.values.item, seq, seq[1:])),)
+    return (list(map(m._pcor, seq, seq[1:])),)
 
 
 def _i_minus_r(m: Model, idx: np.ndarray) -> np.ndarray:
     """(I - R)_{idx,idx} for ascending vertex indices ``idx``."""
-    r = m._partial_corr
-    block = _pcor_block(m.kappa.values[idx[:, None], idx]) if r is None else r.values[idx[:, None], idx]
-    return np.eye(len(idx)) - block
-
-
-def _inflated_sub(m: Model, idx: np.ndarray) -> np.ndarray:
-    """The block of the inflated correlation matrix on ascending vertex indices ``idx``."""
-    if m._inflated is not None:
-        return m._inflated.values[idx[:, None], idx]
-    return _inflated_block(m.sigma.values[idx[:, None], idx], np.diagonal(m.kappa.values)[idx])
+    return np.eye(len(idx)) - _pcor_block(m.kappa.values[idx[:, None], idx])
 
 
 def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
@@ -195,7 +186,7 @@ def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> fl
     if kind is Measure.INFLATED_CORRELATION:
         return math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y))
     if isinstance(kind, CustomScaling):
-        if not kind.delta.keys() >= m.graph._vset:
+        if not kind.delta.keys() >= m.graph._index.keys():
             missing = [v for v in m.vertices if v not in kind.delta]
             raise ValueError(f"custom scaling is missing entries for {missing}")
         return float(kind.delta[x]) * float(kind.delta[y])
@@ -294,7 +285,7 @@ def factorize(
         weight=_PathKernel(m).single(seq, full),
         partial_weight=_PathKernel(m, cond).single(seq, scale),
         # |Sigma_PP| / |Sigma_PP.Abar|, exactly 1 on an empty Abar
-        inflation=det_product(((m.sigma.values, sorted(seq), 1), (cond, None, -1)))
+        inflation=det_product(((m.sigma.values, sorted(seq), 1), (cond.values, None, -1)))
         if len(a) < m.sigma.dim else 1.0,
         endpoint_inflation=scale / full,
         phi=_normalized(m, seq),
@@ -314,7 +305,9 @@ def inflated_weight_explicit(m: Model, path: Path) -> float:
     taken in log space where the direct product overflows or underflows.
     """
     seq = _path_indices(m.graph, path)
-    return det_product(((_inflated_sub(m, np.array(sorted(seq))), None, 1), _edge_run(m, seq)))
+    idx = np.array(sorted(seq))
+    block = _inflated_block(m.sigma.values[idx[:, None], idx], np.diagonal(m.kappa.values)[idx])
+    return det_product(((block, None, 1), _edge_run(m, seq)))
 
 
 def partial_inflated_weight_explicit(m: Model, path: Path) -> float:
@@ -355,8 +348,9 @@ def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tupl
     _path_indices(m.graph, path)
     x, y = path.x, path.y
     scale = _endpoint_scale(m, kind, m.sigma, x, y)
+    inflated = _endpoint_scale(m, Measure.INFLATED_CORRELATION, m.sigma, x, y)
     # bracketed, the inflated-correlation ratio is exactly 1.0 and its bounds exactly +-det
-    half = m._inflated_det * (abs(scale) / math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y)))
+    half = m._inflated_det * (abs(scale) / inflated)
     return (-half, half)
 
 

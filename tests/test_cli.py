@@ -209,6 +209,39 @@ def test_edges_json_nipc(capsys):
     assert record["nipc"] == pytest.approx(0.46, abs=0.02)
 
 
+@pytest.mark.parametrize("fmt, expected", [
+    ("table", "u  v  pc  npc  nipc  inflation\n"),
+    ("json", '{\n  "edges": []\n}\n'),
+], ids=["table", "json"])
+def test_edges_on_a_model_without_edges(fmt, expected, tmp_path, capsys):
+    path = tmp_path / "edgeless.model"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    code, out, err = run(capsys, "edges", str(path), "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
+
+
+# -- usage errors -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", WOMEN, "soup", "legumes", "--cap", "0"],
+     "argument --cap: must be a positive integer, got 0"),
+    (["rank-paths", WOMEN, "--vertices", "3", "--cap", "-2"],
+     "argument --cap: must be a positive integer, got -2"),
+    (["rank-paths", WOMEN, "--vertices", "1"],
+     "argument --vertices: must be an integer of at least 2, got 1"),
+    (["rank-paths", WOMEN, "--vertices", "three"],
+     "argument --vertices: must be an integer of at least 2, got three"),
+], ids=["decompose-cap", "rank-paths-cap", "vertices-1", "vertices-text"])
+def test_bad_cap_and_vertex_count_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
 # -- fit ----------------------------------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from pathweights import (
     inflation_factor,
     inflation_factor_identities,
 )
+from pathweights import inflation, symmetric
 
 from conftest import oracle_inflation_factor, random_model
 from test_weights import rescaled_chain
@@ -232,8 +233,9 @@ def test_global_collinearity_on_a_1200_vertex_chain():
 def test_identities_take_each_determinant_once(monkeypatch):
     # five Sigma blocks (A, B, A u B, A.B, B.A) and three K blocks (A, B, all)
     calls = []
-    det = SymMatrix._det
-    monkeypatch.setattr(SymMatrix, "_det", lambda mat, labels=None: calls.append(1) or det(mat, labels))
+    det = symmetric._principal_det
+    for module in (inflation, symmetric):
+        monkeypatch.setattr(module, "_principal_det", lambda a, idx=None: calls.append(1) or det(a, idx))
     m = random_model(np.random.default_rng(307), 8, 0.5)
     inflation_factor_identities(m, m.vertices[:3])
     assert len(calls) == 8

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_covariance_csv_label_mismatch(tmp_path):
     path.write_text(",a,b\nb,1.0,0.2\na,0.2,1.0\n")
     with pytest.raises(ModelFileError, match="labelled"):
         load_covariance_csv(path)
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan"])
+def test_covariance_csv_rejects_a_non_finite_entry_naming_the_file(entry, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f",a,b\na,1.0,{entry}\nb,0.2,1.0\n")
+    with pytest.raises(ModelFileError, match=re.escape(f"{path}: matrix entries must be finite")):
+        load_covariance_csv(path)
+
+
+def test_covariance_csv_keeps_a_symmetric_entry_near_the_float_limit(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(",a,b\na,1.5e308,1.0\nb,1.0,1.5e308\n")
+    m = load_covariance_csv(path)
+    np.testing.assert_array_equal(m.values, [[1.5e308, 1.0], [1.0, 1.5e308]])
 
 
 def test_covariance_csv_averages_rounding_noise(tmp_path):
