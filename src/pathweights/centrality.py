@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_PATH_CAP, PathRows, _gather, _walk
+from .graphs import DEFAULT_PATH_CAP, _by_target, _gather, _walk
 from .model import Model
 from .weights import _PathKernel
 
@@ -96,25 +96,19 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
             dist = np.full(n, -1)
             for v, hops in graph.bfs_distances(vertices[x]).items():
                 dist[graph._index[v]] = hops
-        # one walk from x serves every pair (x, y) with y later in vertex order
-        rows = _gather(_walk(graph, x, dist=dist, cap=cap, edge_values=kernel.kappa), (n + 63) // 64)
-        last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
-        # Group the rows by target, keeping the walk's order within a group. A
-        # vertex set has one length, and the walk yields each length's rows in
-        # label order, so the first row of a set within the first target that
-        # reaches it is the label-first row there, as in a full label sort:
-        # the kernel takes the same blocks. The sums below are fsum's, which no
-        # order changes. A stable sort of keys this small is a radix sort.
-        order = np.argsort(last.astype(np.min_scalar_type(n)), kind="stable")
-        order = order[last[order] > x]
-        rows, last = PathRows(*(field[order] for field in rows)), last[order]
+        # one walk from x serves every pair (x, y) with y later in vertex order;
+        # the sums below are fsum's, which no order of the rows changes
+        rows = _gather(_walk(graph, x, dist=dist, cap=cap, edge_values=kernel.kappa), n)
+        order, bounds = _by_target(graph, rows)
+        rows = rows.take(order[bounds[x + 1]:])
+        bounds = [b - bounds[x + 1] for b in bounds[x + 1:]]
+        last = np.repeat(np.arange(x + 1, n), np.diff(bounds))
         wts = np.abs(kernel(rows, d[x] * d[last]))
         # vertices strictly inside each path: its set without its two ends
         on_path = np.unpackbits(rows.keys.astype("<u8").view(np.uint8), axis=1,
                                 bitorder="little")[:, :n].astype(bool)
         on_path[:, x] = False
         on_path[np.arange(len(last)), last] = False
-        bounds = np.searchsorted(last, np.arange(x + 1, n + 1)).tolist()
         reached = [(y, lo) for y, lo, hi in zip(range(x + 1, n), bounds, bounds[1:]) if lo < hi]
         starts = [lo for _, lo in reached]
         denoms, numers = _group_sums(wts, on_path, starts)

@@ -32,7 +32,8 @@ _MEASURES = {
     "inf": Measure.INFLATED_CORRELATION,
 }
 
-_MATRIX_KINDS = ("omega", "r", "varrho")
+#: The ``matrices --kind`` choices and the ``Model`` property each prints.
+_MATRIX_KINDS = {"omega": "omega", "r": "partial_corr", "varrho": "inflated"}
 
 
 def _fmt(value, precision: int) -> str:
@@ -124,12 +125,8 @@ def _check_report(args, ok: bool, reason, detail) -> None:
 
 def _cmd_matrices(args) -> int:
     m = modelio.load_model(args.model)
-    matrices = {
-        "omega": m.omega,
-        "r": m.partial_corr,
-        "varrho": m.inflated,
-    }
     kinds = [args.kind] if args.kind else list(_MATRIX_KINDS)
+    matrices = {k: getattr(m, _MATRIX_KINDS[k]) for k in kinds}  # only the kinds printed
     if args.format == "json":
         doc = {k: modelio.report_dict(matrices[k]) for k in kinds}
         print(json.dumps(doc, indent=2))

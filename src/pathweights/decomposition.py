@@ -30,8 +30,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PathExplosionError, UndefinedShareError
-from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _gather, _lex_order, _pair_paths,
-                     _source_paths, _target_rows, _walk)
+from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _by_target, _capped, _gather,
+                     _lex_order, _pair_paths, _target_rows, _walk)
 from .model import Kind, Measure, Model
 from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
@@ -41,16 +41,6 @@ class PathContribution:
     path: Path
     weight: float
     share: float
-
-    @classmethod
-    def _wrap(cls, path: Path, weight: float, share: float) -> "PathContribution":
-        """Construct without the frozen-dataclass setters; for report building."""
-        c = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(c, "path", path)
-        setattr_(c, "weight", weight)
-        setattr_(c, "share", share)
-        return c
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,7 @@ class DecompositionReport:
             pending = state.get("_rows")
             if pending is not None:
                 graph, rows, weights, shares = pending
-                built = tuple(map(PathContribution._wrap, rows.paths(graph),
+                built = tuple(map(PathContribution, rows.paths(graph),
                                   weights.tolist(), shares.tolist()))
                 # set before the rows go: a thread that finds no rows finds the entries
                 entries = state.setdefault("entries", built)
@@ -193,13 +183,12 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
     The slot holds one key, (x, the x-y route, cap), and what is known for
     it. A call with another key walks its pair and puts its own key in the
     slot. The second consecutive call with a key walks every path from x
-    inside the route (:func:`_source_paths`) and keeps the rows; that call
-    and later ones with the key slice their target's rows from them, which
-    are ``_pair_paths``'s rows bit for bit: every x-y path lies in the route,
-    and its product is taken in the same order from the same source. If that
-    walk exceeds ``cap`` (another target's paths, or all of them), the slot
-    says so and the calls walk their pairs, so only a pair's own paths can
-    make its call raise.
+    inside the route and keeps the rows grouped by target
+    (:func:`_by_target`); that call and later ones take their target's rows
+    from them (:func:`_target_rows`), which are ``_pair_paths``'s rows bit for
+    bit. If that walk exceeds ``cap`` (another target's paths, or all of
+    them), the slot says so and the calls walk their pairs, so only a pair's
+    own paths can make its call raise.
     """
     g = m.graph
     route = g._blockcut.route(x, y)
@@ -210,16 +199,17 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
     else:
         walked = held[1]
         if walked is None:
+            walk = _walk(g, x, allowed=route, cap=cap, edge_values=m.kappa.values)
             try:
-                walked = _source_paths(g, x, route, cap=cap, edge_values=m.kappa.values)
+                rows = _gather(_capped(walk, cap), len(g.vertices))
             except PathExplosionError:
                 walked = ()
             else:
-                for field in walked[0]:
-                    field.flags.writeable = False  # shared by the calls that slice it
+                order, bounds = _by_target(g, rows)
+                walked = rows.take(order), bounds
             m._walks = (key, walked)  # one store: a reader sees the old tuple or this one
         if walked:
-            return _target_rows(*walked, y)
+            return _target_rows(g, *walked, y)
     return _pair_paths(g, x, y, cap=cap, edge_values=m.kappa.values)
 
 
@@ -259,7 +249,7 @@ def rank_paths(
             if seqs.shape[1] == vertex_count:
                 forward = rank[seqs[:, -1]] > rank[s]  # labelled from the smaller endpoint
                 found.append((seqs[forward], keys[forward], prods[forward]))
-    rows = _gather(found, (len(g.vertices) + 63) // 64)
+    rows = _gather(found, len(g.vertices))
     del found
     # Weigh in the order of vertex pairs, as ``combinations(vertices, 2)`` lists
     # them, each pair's paths in label order. A pair's rows all come from the
@@ -269,7 +259,7 @@ def rank_paths(
     ends = rows.seqs[:, [0, -1]].astype(np.intp)
     pair = ends.min(axis=1) * n + ends.max(axis=1)
     order = np.argsort(pair.astype(np.min_scalar_type(n * n)), kind="stable")
-    rows = PathRows(*(field[order] for field in rows))
+    rows = rows.take(order)
     kdiag = np.diagonal(kernel.kappa)
     scale = np.sqrt(kdiag[rows.seqs[:, 0]] * kdiag[rows.seqs[:, -1]])
     weights = kernel(rows, scale)

@@ -373,6 +373,10 @@ class PathRows(NamedTuple):
                 out.append(path)
         return out
 
+    def take(self, order) -> "PathRows":
+        """The rows picked by ``order``, an index array or a slice."""
+        return PathRows(*(field[order] for field in self))
+
 
 def _walk(
     graph: Graph,
@@ -391,12 +395,12 @@ def _walk(
     in lexicographic label order across all of that length's blocks, though
     blocks of different lengths interleave: chunks are expanded depth first,
     in order, and a row's extensions follow its last vertex's neighbours in
-    label order. ``betweenness`` and ``rank_paths`` rely on this order in
-    place of a sort. With ``dst`` set, only the paths ending there
-    are yielded and they are not extended; otherwise every row is a path to
-    its last vertex and is yielded and extended. ``allowed`` masks the vertices
-    a path may visit, ``dist`` (when given) only lets a path reach vertex w as
-    its vertex number ``dist[w]``, which yields exactly the shortest paths, and
+    label order. :func:`_by_target` and ``rank_paths`` rely on this order in
+    place of a sort. With ``dst`` set, only the paths ending there are yielded
+    and they are not extended; otherwise every row is a path to its last
+    vertex and is yielded and extended. ``allowed`` masks the vertices a path
+    may visit, ``dist`` (when given) only lets a path reach vertex w as its
+    vertex number ``dist[w]``, which yields exactly the shortest paths, and
     ``max_len`` caps the vertex count. ``edge_values`` is a vertex-indexed
     matrix whose entries along each path are multiplied into ``prods`` (ones
     without it). A ``cap`` below 1 is a ValueError before any walking; more
@@ -509,8 +513,8 @@ def _rows_array(rows: list, words: int) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.array([r[2] for r in rows]))
 
 
-def _gather(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], words: int) -> PathRows:
-    """Stack walk blocks into one padded :class:`PathRows`, in yield order."""
+def _gather(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], n: int) -> PathRows:
+    """Stack walk blocks of an ``n``-vertex graph into one padded :class:`PathRows`, in yield order."""
     blocks = list(blocks)
     width = max((b[0].shape[1] for b in blocks), default=2)
     total = sum(len(b[0]) for b in blocks)
@@ -523,7 +527,7 @@ def _gather(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], words: 
         lengths[start:stop] = b[0].shape[1]
         start = stop
     if not blocks:
-        return PathRows(seqs, lengths, np.zeros((0, words), dtype=np.uint64), np.ones(0))
+        return PathRows(seqs, lengths, np.zeros((0, (n + 63) // 64), dtype=np.uint64), np.ones(0))
     return PathRows(seqs, lengths, np.concatenate([b[1] for b in blocks]),
                     np.concatenate([b[2] for b in blocks]))
 
@@ -555,6 +559,45 @@ def _lex_order(graph: Graph, seqs: np.ndarray, *first: np.ndarray) -> np.ndarray
     return np.lexsort((*words[::-1], *first[::-1]))
 
 
+def _capped(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+            cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The walk blocks ``blocks``, raising PathExplosionError as soon as more
+    than ``cap`` rows have come in all."""
+    total = 0
+    for block in blocks:
+        total += len(block[0])
+        if total > cap:
+            raise PathExplosionError(cap=cap, found=total)
+        yield block
+
+
+def _by_target(graph: Graph, rows: PathRows) -> tuple[np.ndarray, list[int]]:
+    """Order of a source's walk rows grouped by target, each group in walk
+    order (a stable sort of small keys is a radix sort), and the bounds: the
+    rows ending at vertex y are ``rows.take(order)[bounds[y]:bounds[y + 1]]``.
+    A vertex set has one length and the walk yields each length's rows in
+    label order, so in the first group that reaches a set, its first row is
+    the label-first one, as in a label sort: a kernel takes the same blocks."""
+    n = len(graph.vertices)
+    last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
+    order = np.argsort(last.astype(np.min_scalar_type(n)), kind="stable")
+    return order, [0] + np.cumsum(np.bincount(last, minlength=n)).tolist()
+
+
+def _target_rows(graph: Graph, rows: PathRows, bounds: list[int], y: int) -> PathRows:
+    """Fresh copies of the rows ending at vertex ``y`` of ``rows``, grouped by
+    :func:`_by_target` with ``bounds``, in label order and padded to their own
+    longest path. From a walk from x over the x-y route, they are the rows,
+    products included, of :func:`_pair_paths` of x and y with the same
+    ``edge_values``: each x-y path lies in the route, its product taken alike."""
+    lo, hi = bounds[y], bounds[y + 1]
+    if lo == hi:
+        return _gather((), len(graph.vertices))
+    part = rows.take(slice(lo, hi))
+    part = part._replace(seqs=part.seqs[:, :part.lengths.max()])
+    return part.take(_lex_order(graph, part.seqs))
+
+
 def _pair_paths(
     graph: Graph,
     x: int,
@@ -573,49 +616,8 @@ def _pair_paths(
     if allowed is not None:
         route &= allowed
     rows = _gather(_walk(graph, x, y, allowed=route, max_len=max_len, cap=cap,
-                         edge_values=edge_values), (len(graph.vertices) + 63) // 64)
-    order = _lex_order(graph, rows.seqs)
-    return PathRows(*(field[order] for field in rows))
-
-
-def _source_paths(
-    graph: Graph,
-    x: int,
-    allowed: np.ndarray,
-    cap: int = DEFAULT_PATH_CAP,
-    edge_values: np.ndarray | None = None,
-) -> tuple[PathRows, list[int]]:
-    """Every simple path from vertex ``x`` that stays in ``allowed``, ordered by
-    target vertex and then by label sequence, and the bounds of each target's
-    rows: those ending at vertex y are ``rows[bounds[y]:bounds[y + 1]]``.
-
-    For a y whose x-y route lies in ``allowed`` (see :func:`_pair_paths`),
-    :func:`_target_rows` of y gives the rows, products included, of
-    ``_pair_paths(graph, x, y, allowed, cap=cap, edge_values=edge_values)``.
-    More than ``cap`` paths ending at one vertex, or more than ``cap`` in
-    all, raise PathExplosionError.
-    """
-    blocks, total = [], 0
-    for block in _walk(graph, x, allowed=allowed, cap=cap, edge_values=edge_values):
-        total += len(block[0])
-        if total > cap:
-            raise PathExplosionError(cap=cap, found=total)
-        blocks.append(block)
-    rows = _gather(blocks, (len(graph.vertices) + 63) // 64)
-    last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
-    order = _lex_order(graph, rows.seqs, last)
-    bounds = np.searchsorted(last[order], np.arange(len(graph.vertices) + 1)).tolist()
-    return PathRows(*(field[order] for field in rows)), bounds
-
-
-def _target_rows(rows: PathRows, bounds: list[int], y: int) -> PathRows:
-    """The rows of :func:`_source_paths` that end at vertex ``y``, padded to
-    their own longest path, as :func:`_pair_paths` gives them."""
-    lo, hi = bounds[y], bounds[y + 1]
-    if lo == hi:
-        return _gather((), rows.keys.shape[1])
-    lengths = rows.lengths[lo:hi]
-    return PathRows(rows.seqs[lo:hi, :lengths.max()], lengths, rows.keys[lo:hi], rows.prods[lo:hi])
+                         edge_values=edge_values), len(graph.vertices))
+    return rows.take(_lex_order(graph, rows.seqs))
 
 
 def enumerate_paths(

@@ -94,8 +94,9 @@ class Model:
       ``weights.DET_MEMO_SIZE`` blocks, after which no more are added.
     - ``_walks``: one slot for unrestricted ``decompose`` calls, keyed by
       (source, the pair's route of blocks, cap). The second consecutive call
-      with a key walks every path from the source in the route once, and
-      that call and later ones take their target's rows from it (see
+      with a key walks every path from the source in the route once and
+      keeps its rows grouped by target; that call and later ones each put
+      their own target's rows in label order (see
       ``decomposition._shared_pair_paths``). It holds one source's paths,
       and never more than ``cap`` of them.
 

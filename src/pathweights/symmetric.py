@@ -122,7 +122,8 @@ def _mean_with_transpose(a: np.ndarray) -> np.ndarray:
         if over.any():
             t[over] = upper[over] * 0.5 + lower[over] * 0.5
         upper[...] = t
-        a[s:, s:e] = t.T
+        # the strip's diagonal block of t is exactly symmetric and written; the rows below are not
+        a[e:, s:e] = t[:, e - s:].T
     return a
 
 

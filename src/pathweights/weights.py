@@ -168,6 +168,10 @@ def _i_minus_r(m: Model, idx: np.ndarray) -> np.ndarray:
     return np.eye(len(idx)) - _pcor_block(m.kappa.values[idx[:, None], idx])
 
 
+# module globals, since every single-path query dispatches here and ``Measure.X`` is a slow lookup
+_COVARIANCE, _CORRELATION, _INFLATED = Measure.COVARIANCE, Measure.CORRELATION, Measure.INFLATED_CORRELATION
+
+
 def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> float:
     """Product of the x and y entries of the congruence D that turns covariance
     weights on ``cond`` into weights of the measure ``kind``.
@@ -179,11 +183,11 @@ def _endpoint_scale(m: Model, kind: Kind, cond: SymMatrix, x: str, y: str) -> fl
     concentration diagonal, which is the same for the conditional and the
     full model.
     """
-    if kind is Measure.COVARIANCE:
+    if kind is _COVARIANCE:
         return 1.0
-    if kind is Measure.CORRELATION:
+    if kind is _CORRELATION:
         return 1.0 / math.sqrt(cond.entry(x, x) * cond.entry(y, y))
-    if kind is Measure.INFLATED_CORRELATION:
+    if kind is _INFLATED:
         return math.sqrt(m.kappa.entry(x, x) * m.kappa.entry(y, y))
     if isinstance(kind, CustomScaling):
         if not kind.delta.keys() >= m.graph._index.keys():
@@ -348,7 +352,7 @@ def weight_bounds(m: Model, path: Path, kind: Kind = Measure.COVARIANCE) -> tupl
     _path_indices(m.graph, path)
     x, y = path.x, path.y
     scale = _endpoint_scale(m, kind, m.sigma, x, y)
-    inflated = _endpoint_scale(m, Measure.INFLATED_CORRELATION, m.sigma, x, y)
+    inflated = _endpoint_scale(m, _INFLATED, m.sigma, x, y)
     # bracketed, the inflated-correlation ratio is exactly 1.0 and its bounds exactly +-det
     half = m._inflated_det * (abs(scale) / inflated)
     return (-half, half)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pathweights import load_model, save_covariance_csv, save_model
+from pathweights import Model, load_model, save_covariance_csv, save_model
 from pathweights.cli import main
 from pathweights.datasets import dataset_path
 
@@ -73,6 +73,16 @@ def test_matrices_single_kind(capsys):
     assert code == 0
     assert out.startswith("[r]")
     assert "0.31" in out
+
+
+def test_matrices_builds_only_the_kind_it_prints(capsys, monkeypatch):
+    def unbuilt(self):
+        raise AssertionError("a matrix that is not printed was built")
+    for name in ("omega", "inflated"):
+        monkeypatch.setattr(Model, name, property(unbuilt))
+    code, out, _ = run(capsys, "matrices", WOMEN, "--kind", "r")
+    assert code == 0
+    assert out.startswith("[r]")
 
 
 def test_matrices_json_all_kinds(capsys):

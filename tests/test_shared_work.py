@@ -33,7 +33,7 @@ from pathweights import (
     partial_inflated_weight_explicit,
     weight,
 )
-from pathweights import decomposition, weights
+from pathweights import decomposition, graphs, weights
 from pathweights.centrality import _exact_parts, _group_sums
 
 from conftest import random_model, vertex_names
@@ -79,11 +79,12 @@ def test_each_source_is_walked_once_after_its_first_pair(monkeypatch):
     names = vertex_names(7)  # K7: every pair's route is the whole graph
     m = random_model(np.random.default_rng(9), 7, 0.0, graph=Graph(names, combinations(names, 2)))
     calls = {"pair": 0, "source": 0}
-    for name, key in (("_pair_paths", "pair"), ("_source_paths", "source")):
-        def counted(*args, _f=getattr(decomposition, name), _key=key, **kw):
-            calls[_key] += 1
-            return _f(*args, **kw)
-        monkeypatch.setattr(decomposition, name, counted)
+
+    def counted(graph, src, dst=-1, _walk=graphs._walk, **kw):
+        calls["pair" if dst >= 0 else "source"] += 1  # a walk with a target, or without
+        return _walk(graph, src, dst, **kw)
+    for module in (graphs, decomposition):
+        monkeypatch.setattr(module, "_walk", counted)
     for x, y in combinations(m.vertices, 2):
         decompose(m, x, y)
     n = len(m.vertices)
@@ -93,6 +94,32 @@ def test_each_source_is_walked_once_after_its_first_pair(monkeypatch):
     for x, y in combinations(m.vertices, 2):  # a restricted call leaves the slot alone
         decompose(m, x, y, restrict=m.vertices)
     assert calls == {"pair": n * (n - 1) // 2, "source": 0}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["default", "wide-chunks-of-5"])
+@pytest.mark.parametrize("i", [*range(0, len(CORPUS), 6), len(CORPUS)], ids=lambda i: f"m{i}")
+def test_target_rows_of_a_grouped_source_walk_are_the_pair_walks_rows(i, wide, monkeypatch):
+    if wide:  # every level expanded by numpy, 5 rows at a time
+        monkeypatch.setattr(graphs, "_NARROW_ROWS", 0)
+        monkeypatch.setattr(graphs, "_CHUNK_ROWS", 5)
+    m = dense_p13() if i == len(CORPUS) else CORPUS[i]
+    g, k, n = m.graph, m.kappa.values, len(m.vertices)
+    for x in range(n):
+        grouped = {}  # by route: one source walk serves every target whose route it is
+        for y in range(n):
+            if y == x:
+                continue
+            route = g._blockcut.route(x, y)
+            if route.tobytes() not in grouped:
+                rows = graphs._gather(graphs._walk(g, x, allowed=route, edge_values=k), n)
+                order, bounds = graphs._by_target(g, rows)
+                grouped[route.tobytes()] = rows.take(order), bounds
+            held = grouped[route.tobytes()]
+            got = graphs._target_rows(g, *held, y)
+            want = graphs._pair_paths(g, x, y, edge_values=k)
+            for a, b, kept in zip(got, want, held[0]):
+                assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+                assert not np.may_share_memory(a, kept)  # a fresh copy
 
 
 def k4_behind_a_square():
