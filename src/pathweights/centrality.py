@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_PATH_CAP, _by_target, _gather, _walk
+from .graphs import DEFAULT_PATH_CAP, _by_target, _capped, _gather, _walk
 from .model import Model
 from .weights import _PathKernel
 
@@ -80,6 +80,7 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
 
     Per-pair numerators and denominators are accumulated with compensated
     summation so the result does not depend on path enumeration order.
+    ``cap`` bounds the paths per vertex pair.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -98,7 +99,7 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
                 dist[graph._index[v]] = hops
         # one walk from x serves every pair (x, y) with y later in vertex order;
         # the sums below are fsum's, which no order of the rows changes
-        rows = _gather(_walk(graph, x, dist=dist, cap=cap, edge_values=kernel.kappa), n)
+        rows = _gather(_capped(_walk(graph, x, dist=dist, edge_values=kernel.kappa), cap, n), n)
         order, bounds = _by_target(graph, rows)
         rows = rows.take(order[bounds[x + 1]:])
         bounds = [b - bounds[x + 1] for b in bounds[x + 1:]]

@@ -141,12 +141,13 @@ def decompose(
 
     src, dst = (x, y) if x <= y else (y, x)
     g = m.graph
+    i, j = g._index[src], g._index[dst]
     if a is None:
         cond = m.sigma
-        rows = _shared_pair_paths(m, g._index[src], g._index[dst], cap)
+        rows = _shared_pair_paths(m, i, j, cap)
     else:
         cond = m.sigma.schur_complement(a, g.complement(a))
-        rows = _pair_paths(g, g._index[src], g._index[dst], g._mask(a), cap=cap, edge_values=m.kappa.values)
+        rows = _pair_paths(g, i, j, g._blockcut.route(i, j) & g._mask(a), cap=cap, edge_values=m.kappa.values)
     kernel = _PathKernel(m, cond)
     scale = _endpoint_scale(m, kind, cond, src, dst)
     weights = kernel(rows, scale)
@@ -188,7 +189,7 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
     from them (:func:`_target_rows`), which are ``_pair_paths``'s rows bit for
     bit. If that walk exceeds ``cap`` (another target's paths, or all of
     them), the slot says so and the calls walk their pairs, so only a pair's
-    own paths can make its call raise.
+    own paths can make its call raise. Pair walks reuse the key's route.
     """
     g = m.graph
     route = g._blockcut.route(x, y)
@@ -199,7 +200,7 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
     else:
         walked = held[1]
         if walked is None:
-            walk = _walk(g, x, allowed=route, cap=cap, edge_values=m.kappa.values)
+            walk = _walk(g, x, allowed=route, edge_values=m.kappa.values)
             try:
                 rows = _gather(_capped(walk, cap), len(g.vertices))
             except PathExplosionError:
@@ -210,7 +211,7 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
             m._walks = (key, walked)  # one store: a reader sees the old tuple or this one
         if walked:
             return _target_rows(g, *walked, y)
-    return _pair_paths(g, x, y, cap=cap, edge_values=m.kappa.values)
+    return _pair_paths(g, x, y, route, cap=cap, edge_values=m.kappa.values)
 
 
 def subset_share(report: DecompositionReport, predicate: Callable[[Path], bool]) -> float:
@@ -232,7 +233,8 @@ def rank_paths(
     Only the inflated-correlation measure is accepted: it is the one measure
     whose weights share the same bounds for every endpoint pair, so comparing
     paths with different endpoints is meaningful. Ties break on the canonical
-    vertex sequence, making the order fully deterministic.
+    vertex sequence, making the order fully deterministic. ``cap`` bounds the
+    paths of up to ``vertex_count`` vertices per vertex pair.
     """
     if vertex_count < 2:
         raise ValueError("paths need at least two vertices")
@@ -241,21 +243,21 @@ def rank_paths(
             "cross-pair ranking is only meaningful for the inflated-correlation measure"
         )
     g = m.graph
+    n = len(g.vertices)
     kernel = _PathKernel(m)
     rank = g._rank
     found = []
-    for s in range(len(g.vertices)):
-        for seqs, keys, prods in _walk(g, s, max_len=vertex_count, cap=cap, edge_values=kernel.kappa):
+    for s in range(n):
+        for seqs, keys, prods in _capped(_walk(g, s, max_len=vertex_count, edge_values=kernel.kappa), cap, n):
             if seqs.shape[1] == vertex_count:
                 forward = rank[seqs[:, -1]] > rank[s]  # labelled from the smaller endpoint
                 found.append((seqs[forward], keys[forward], prods[forward]))
-    rows = _gather(found, len(g.vertices))
+    rows = _gather(found, n)
     del found
     # Weigh in the order of vertex pairs, as ``combinations(vertices, 2)`` lists
     # them, each pair's paths in label order. A pair's rows all come from the
     # walk from its label-first end, which yields them in label order, so a
     # stable grouping by pair keeps them so (a radix sort, on keys this small).
-    n = len(g.vertices)
     ends = rows.seqs[:, [0, -1]].astype(np.intp)
     pair = ends.min(axis=1) * n + ends.max(axis=1)
     order = np.argsort(pair.astype(np.min_scalar_type(n * n)), kind="stable")

@@ -52,8 +52,8 @@ class InvalidPathError(PathWeightsError, ValueError):
 class PathExplosionError(PathWeightsError):
     """Path enumeration exceeded the configured cap.
 
-    ``found`` is the number of paths discovered when enumeration aborted
-    (always cap + 1); enumeration never silently truncates.
+    ``found`` is the number of paths of one vertex pair when enumeration
+    aborted (always cap + 1); enumeration never silently truncates.
     """
 
     def __init__(self, cap, found):

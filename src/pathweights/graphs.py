@@ -385,7 +385,6 @@ def _walk(
     allowed: np.ndarray | None = None,
     dist: np.ndarray | None = None,
     max_len: int | None = None,
-    cap: int = DEFAULT_PATH_CAP,
     edge_values: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Simple paths from vertex index ``src``, level by level.
@@ -403,16 +402,14 @@ def _walk(
     vertex number ``dist[w]``, which yields exactly the shortest paths, and
     ``max_len`` caps the vertex count. ``edge_values`` is a vertex-indexed
     matrix whose entries along each path are multiplied into ``prods`` (ones
-    without it). A ``cap`` below 1 is a ValueError before any walking; more
-    than ``cap`` paths ending at one vertex raise PathExplosionError at once.
+    without it). The walk counts nothing: callers bound it with
+    :func:`_capped`.
 
     A level costs a few dozen array operations however narrow it is, so
     levels of at most ``_NARROW_ROWS`` rows (the whole walk on a chain or a
     tree-like route) are expanded row by row in Python instead; both steps
     extend rows in the same order with the same arithmetic.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     n = len(graph.vertices)
     indptr, indices = graph._indptr, graph._indices
     max_len = n if max_len is None else min(max_len, n)
@@ -421,14 +418,6 @@ def _walk(
     along = np.ones(len(indices)) if edge_values is None else edge_values[
         np.repeat(np.arange(n), np.diff(indptr)), indices]
     words = (n + 63) // 64
-    found = np.zeros(n, dtype=np.int64)
-
-    def emitted(done):
-        nonlocal found
-        found += np.bincount(done[0][:, -1], minlength=n)
-        if found.max() > cap:
-            raise PathExplosionError(cap=cap, found=cap + 1)
-        return done
 
     # narrow levels: rows are (vertex tuple, vertex-set bitmask as an int, product)
     nbr_lists, enter_list = graph._nbr_lists, enter.tolist()
@@ -448,7 +437,7 @@ def _walk(
         if dst < 0:
             done = grown
         if done:
-            yield emitted(_rows_array(done, words))
+            yield _rows_array(done, words)
         level = grown
         length += 1
     if not level or length >= max_len:
@@ -498,7 +487,7 @@ def _walk(
                 r, at = r[~hit], at[~hit]
             grown = extend(seqs, keys, prods, r, at) if grow else None
         if done is not None and len(done[0]):
-            yield emitted(done)
+            yield done
         if grow and len(grown[0]):
             seqs, keys, prods = grown
             stack += [(seqs[i:i + _CHUNK_ROWS], keys[i:i + _CHUNK_ROWS], prods[i:i + _CHUNK_ROWS])
@@ -559,15 +548,24 @@ def _lex_order(graph: Graph, seqs: np.ndarray, *first: np.ndarray) -> np.ndarray
     return np.lexsort((*words[::-1], *first[::-1]))
 
 
-def _capped(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-            cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The walk blocks ``blocks``, raising PathExplosionError as soon as more
-    than ``cap`` rows have come in all."""
-    total = 0
+def _capped(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], cap: int,
+            n: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The walk blocks ``blocks``, the one path budget: a ``cap`` below 1 is a
+    ValueError before any block is taken, and PathExplosionError(cap, cap + 1)
+    is raised once more than ``cap`` rows have come in all or, given the
+    vertex count ``n``, ending at one vertex (from one source: one pair)."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    found = 0 if n is None else np.zeros(n, dtype=np.int64)
     for block in blocks:
-        total += len(block[0])
-        if total > cap:
-            raise PathExplosionError(cap=cap, found=total)
+        if n is None:
+            found += len(block[0])
+            over = found > cap
+        else:
+            found += np.bincount(block[0][:, -1], minlength=n)
+            over = found.max() > cap
+        if over:
+            raise PathExplosionError(cap=cap, found=cap + 1)
         yield block
 
 
@@ -607,16 +605,16 @@ def _pair_paths(
     cap: int = DEFAULT_PATH_CAP,
     edge_values: np.ndarray | None = None,
 ) -> PathRows:
-    """All simple paths from vertex ``x`` to vertex ``y``, lexicographic by label.
+    """All simple paths from vertex ``x`` to vertex ``y`` inside the vertex mask
+    ``allowed``, lexicographic by label, at most ``cap`` of them (:func:`_capped`).
 
-    The walk is confined to the blocks on the x-y route of the block-cut tree,
-    which leaves the result unchanged.
+    ``allowed`` defaults to the x-y route of the block-cut tree, which holds
+    every x-y path; callers with a vertex set pass the route masked by it.
     """
-    route = graph._blockcut.route(x, y)
-    if allowed is not None:
-        route &= allowed
-    rows = _gather(_walk(graph, x, y, allowed=route, max_len=max_len, cap=cap,
-                         edge_values=edge_values), len(graph.vertices))
+    if allowed is None:
+        allowed = graph._blockcut.route(x, y)
+    rows = _gather(_capped(_walk(graph, x, y, allowed=allowed, max_len=max_len,
+                                 edge_values=edge_values), cap), len(graph.vertices))
     return rows.take(_lex_order(graph, rows.seqs))
 
 
@@ -645,14 +643,14 @@ def enumerate_paths(
     if x == y:
         raise ValueError("path endpoints must differ")
     graph.require_vertices([x, y])
+    i, j = graph._index[x], graph._index[y]
     allowed = None
     if restrict is not None:
         labels = set(graph.require_vertices(restrict))
         if x not in labels or y not in labels:
             raise ValueError("restrict set must contain both endpoints")
-        allowed = graph._mask(labels)
-    rows = _pair_paths(graph, graph._index[x], graph._index[y], allowed, max_len, cap)
-    return rows.paths(graph)
+        allowed = graph._blockcut.route(i, j) & graph._mask(labels)
+    return _pair_paths(graph, i, j, allowed, max_len, cap).paths(graph)
 
 
 def chords(graph: Graph, path: Path) -> list[tuple[str, str]]:

@@ -38,9 +38,6 @@ from .model import Model
 from .symmetric import SymMatrix
 from .weights import EdgeMeasures
 
-#: Relative tolerance for validating symmetry of covariance CSV input.
-CSV_SYMMETRY_TOL = 1e-12
-
 
 # -- model files ---------------------------------------------------------------
 
@@ -183,7 +180,7 @@ def load_covariance_csv(path) -> SymMatrix:
         except ValueError as exc:
             raise ModelFileError(f"{path}: row {i + 2} has a non-numeric entry: {exc}") from exc
     try:
-        return SymMatrix(header, values, symmetry_tol=CSV_SYMMETRY_TOL)
+        return SymMatrix(header, values)
     except InvalidMatrixError as exc:
         raise ModelFileError(f"{path}: {exc}") from exc
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pathweights import Model, load_model, save_covariance_csv, save_model
+from pathweights import Model, SymMatrix, load_model, save_covariance_csv, save_model
 from pathweights.cli import main
 from pathweights.datasets import dataset_path
 
@@ -17,6 +17,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_model(tmp_path, vertices, edges) -> str:
+    """A model file of ``vertices`` and ``(u, v, pcor)`` edges (pcor None: a graph only)."""
+    path = tmp_path / "input.model"
+    path.write_text(json.dumps({
+        "vertices": vertices,
+        "edges": [{"u": u, "v": v} | ({} if pcor is None else {"pcor": pcor}) for u, v, pcor in edges],
+    }))
+    return str(path)
+
+
+def fit_inputs(tmp_path, edges) -> tuple[str, str]:
+    """A sample covariance CSV of a, b and c, and a graph file with ``edges``."""
+    cov = tmp_path / "cov.csv"
+    sample = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]])
+    save_covariance_csv(SymMatrix(["a", "b", "c"], sample), cov)
+    return str(cov), write_model(tmp_path, ["a", "b", "c"], [(u, v, None) for u, v in edges])
 
 
 # -- check ------------------------------------------------------------------------
@@ -161,6 +179,18 @@ def test_centrality_shortest_mode(capsys):
     assert json.loads(out)["mode"] == "shortest-paths"
 
 
+@pytest.mark.parametrize("mode", ["all", "shortest"])
+def test_centrality_of_two_disjoint_edges(mode, tmp_path, capsys):
+    # the four pairs across the edges have no path; no vertex lies inside a path
+    path = write_model(tmp_path, ["a", "b", "c", "d"], [("a", "b", 0.3), ("c", "d", 0.4)])
+    code, out, _ = run(capsys, "centrality", path, "--mode", mode)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "skipped pairs (disconnected or zero weight): 4",
+        "warning: all betweenness values equal; normalized column set to 0",
+    ]
+
+
 # -- rank-paths ----------------------------------------------------------------------------
 
 
@@ -270,6 +300,25 @@ def test_fit_roundtrip(tmp_path, capsys):
     assert np.abs(fitted.sigma.values - m.sigma.values).max() < 1e-7
 
 
+def test_fit_json(tmp_path, capsys):
+    cov, graph_file = fit_inputs(tmp_path, [("a", "b"), ("b", "c")])
+    out_file = tmp_path / "fitted.model"
+    code, out, _ = run(capsys, "fit", cov, graph_file, str(out_file), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "output": str(out_file), "vertices": 3, "edges": 2}
+    assert load_model(out_file).graph.edges == {("a", "b"), ("b", "c")}
+
+
+def test_fit_that_does_not_converge_writes_nothing(tmp_path, capsys):
+    # one sweep over the three edges of a cycle does not reach the tolerance
+    cov, graph_file = fit_inputs(tmp_path, [("a", "b"), ("b", "c"), ("a", "c")])
+    out_file = tmp_path / "fitted.model"
+    code, out, err = run(capsys, "fit", cov, graph_file, str(out_file), "--max-iter", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("fit failed: not converged after 1 sweeps: ")
+    assert not out_file.exists()
+
+
 # -- mtp2 ------------------------------------------------------------------------------------------
 
 
@@ -296,6 +345,16 @@ def test_mtp2_json_not_signable(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["signable"] is False
     assert parsed["delta"] is None
+
+
+@pytest.mark.parametrize("edges, verdict", [
+    ([("a", "b", 0.3), ("b", "c", 0.2)], "already nonnegative: "),
+    ([("a", "b", 0.3), ("a", "c", 0.3), ("b", "c", -0.3)], "not signable: "),
+], ids=["nonnegative", "not-signable"])
+def test_mtp2_table_verdicts(edges, verdict, tmp_path, capsys):
+    code, out, _ = run(capsys, "mtp2", write_model(tmp_path, ["a", "b", "c"], edges))
+    assert code == 0
+    assert out.startswith(verdict)
 
 
 # -- global behaviour -------------------------------------------------------------------------------

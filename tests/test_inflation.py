@@ -72,6 +72,14 @@ def test_at_least_one(triangle):
 # -- identity record -------------------------------------------------------------
 
 
+def test_identities_of_an_empty_block_are_one(triangle):
+    # the concentration route is defined, as 1, only when B is the complement of A
+    assert inflation_factor_identities(triangle, []).values() == (1.0, 1.0, 1.0, 1.0)
+    for a, b in (([], ["1"]), (["1"], [])):
+        ident = inflation_factor_identities(triangle, a, b)
+        assert ident.values() == (1.0, 1.0, 1.0) and ident.concentration_ratio is None
+
+
 def test_identities_diagonal_sigma():
     ident = inflation_factor_identities(diagonal_model(), ["a"], ["b"])
     assert ident.values() == (1.0, 1.0, 1.0)
