@@ -110,21 +110,17 @@ def betweenness(m: Model, mode: str = "all-paths", cap: int = DEFAULT_PATH_CAP) 
                                 bitorder="little")[:, :n].astype(bool)
         on_path[:, x] = False
         on_path[np.arange(len(last)), last] = False
-        reached = [(y, lo) for y, lo, hi in zip(range(x + 1, n), bounds, bounds[1:]) if lo < hi]
-        starts = [lo for _, lo in reached]
-        denoms, numers = _group_sums(wts, on_path, starts)
-        crossed = np.logical_or.reduceat(on_path, starts).tolist() if starts else []
-        found = dict(zip([y for y, _ in reached], zip(denoms, numers, crossed)))
-        for y in range(x + 1, n):
-            sums = found.get(y)
-            if sums is None or sums[0] < DENOMINATOR_TOL:
+        denoms, numers = _group_sums(wts, on_path, bounds[:-1])
+        for y, denom, numer in zip(range(x + 1, n), denoms, numers):
+            if denom < DENOMINATOR_TOL:
                 # no path (x and y lie in different components), or the 0/0 guard
                 skipped.append((vertices[x], vertices[y]))
                 continue
-            denom, numer, through = sums
-            for v in range(n):
-                if through[v]:
-                    ratios[v].append(numer[v] / denom)
+            # a vertex on none of the pair's paths has numerator +0.0; its ratio
+            # of 0.0 would leave the fsum below as it is
+            for v, num in enumerate(numer):
+                if num:
+                    ratios[v].append(num / denom)
 
     raw = {v: math.fsum(r) for v, r in zip(vertices, ratios)}
     values = list(raw.values())
@@ -152,27 +148,27 @@ def _group_sums(w: np.ndarray, on_path: np.ndarray, starts: list[int]) -> tuple[
     the group's rows whose ``on_path`` holds v.
 
     Group g is rows ``starts[g]`` up to the next start (the last runs to the
-    end). The sums come from :func:`_exact_parts`: a part sums exactly in any
-    order, so ``reduceat`` and matrix products (times 0 or 1) sum each part
-    exactly, and an fsum over a group's few part sums equals the fsum over
-    its entries. Entries that are not all finite take fsum over the entries.
+    end; a repeated start gives an empty group, which sums to 0.0). The sums
+    come from :func:`_exact_parts`: a part sums exactly in any order, so one
+    matrix product per group, of ``on_path.T`` with a row of ones under it,
+    sums each part exactly per column and over the whole group, and an fsum
+    over a group's few part sums equals the fsum over its entries. Entries
+    that are not all finite take fsum over the entries.
     """
-    if not starts:
-        return [], []
     ends = starts[1:] + [len(w)]
+    # a last column of ones: each group's last sum is over all its rows
+    through = np.column_stack([on_path, np.ones(len(w), dtype=bool)])
     parts = _exact_parts(w) if np.isfinite(w).all() else None
     if parts is None:
-        return ([math.fsum(w[lo:hi].tolist()) for lo, hi in zip(starts, ends)],
-                [[math.fsum(w[lo:hi][col].tolist()) for col in on_path[lo:hi].T]
-                 for lo, hi in zip(starts, ends)])
-    parts = np.stack(parts, axis=1)
-    through = on_path.T.astype(float)
-    denoms = np.add.reduceat(parts, starts)
-    # + 0.0: a negative part entry times 0.0 is -0.0, which fsum would keep
-    numers = np.stack([through[:, lo:hi] @ parts[lo:hi] for lo, hi in zip(starts, ends)]) + 0.0
-    fsum = math.fsum
-    return ([fsum(d) for d in denoms.tolist()],
-            [[fsum(c) for c in group] for group in numers.tolist()])
+        sums = [[math.fsum(w[lo:hi][col].tolist()) for col in through[lo:hi].T]
+                for lo, hi in zip(starts, ends)]
+    else:
+        parts = np.stack(parts, axis=1)
+        through = through.astype(float)
+        # + 0.0: a negative part entry times 0.0 is -0.0, which fsum would keep
+        sums = [[math.fsum(c) for c in (through[lo:hi].T @ parts[lo:hi] + 0.0).tolist()]
+                for lo, hi in zip(starts, ends)]
+    return [s[-1] for s in sums], [s[:-1] for s in sums]
 
 
 def _exact_parts(r: np.ndarray) -> list[np.ndarray] | None:

@@ -123,7 +123,7 @@ class Model:
         source_kind: str = "sigma",
     ):
         if set(sigma.labels) != set(graph.vertices):
-            raise UnknownVertexError(set(sigma.labels) ^ set(graph.vertices))
+            raise UnknownVertexError(sorted(set(sigma.labels) ^ set(graph.vertices)))
         sigma = sigma.reindexed(graph.vertices)
         try:
             factor = sigma._pd_factor()

@@ -70,7 +70,7 @@ def _parse_edges(doc: dict, vertices: list[str], path) -> list[dict]:
         if not isinstance(edge, dict) or "u" not in edge or "v" not in edge:
             raise ModelFileError(f"{path}: edge #{i} must be an object with 'u' and 'v'")
         for key in ("u", "v"):
-            if edge[key] not in vset:
+            if not isinstance(edge[key], str) or edge[key] not in vset:
                 raise ModelFileError(
                     f"{path}: edge #{i} references unknown vertex {edge[key]!r}"
                 )
@@ -79,12 +79,17 @@ def _parse_edges(doc: dict, vertices: list[str], path) -> list[dict]:
     return edges
 
 
-def load_graph(path) -> Graph:
-    """Graph (vertices and edges) from a model file, ignoring numeric fields."""
+def _read_graph(path) -> tuple[dict, list[dict], Graph]:
+    """A model file's document, its edge objects and its graph."""
     doc = _read_document(path)
     vertices = _parse_vertices(doc, path)
     edges = _parse_edges(doc, vertices, path)
-    return Graph(vertices, [(e["u"], e["v"]) for e in edges])
+    return doc, edges, Graph(vertices, [(e["u"], e["v"]) for e in edges])
+
+
+def load_graph(path) -> Graph:
+    """Graph (vertices and edges) from a model file, ignoring numeric fields."""
+    return _read_graph(path)[2]
 
 
 def load_model(path) -> Model:
@@ -93,10 +98,7 @@ def load_model(path) -> Model:
     Exactly one of the two representations must be present: a ``pcor`` on
     every edge, or a ``sigma`` block.
     """
-    doc = _read_document(path)
-    vertices = _parse_vertices(doc, path)
-    edges = _parse_edges(doc, vertices, path)
-    graph = Graph(vertices, [(e["u"], e["v"]) for e in edges])
+    doc, edges, graph = _read_graph(path)
 
     has_sigma = "sigma" in doc
     pcor_complete = all("pcor" in e for e in edges)  # vacuously true with no edges
@@ -114,7 +116,8 @@ def load_model(path) -> Model:
         if not isinstance(block, dict) or "labels" not in block or "rows" not in block:
             raise ModelFileError(f"{path}: 'sigma' must be an object with 'labels' and 'rows'")
         labels = block["labels"]
-        if set(labels) != set(vertices):
+        if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)
+                and set(labels) == set(graph.vertices)):
             raise ModelFileError(f"{path}: 'sigma' labels do not match 'vertices'")
         try:
             sigma = SymMatrix(labels, np.array(block["rows"], dtype=float))

@@ -188,7 +188,7 @@ def _principal_block(a: np.ndarray, idx: Sequence[int] | None) -> np.ndarray:
 
 
 def chol_dets(blocks: np.ndarray) -> list[float]:
-    """:func:`chol_det` of every matrix in a ``(k, n, n)`` stack.
+    """:func:`chol_det` of every matrix in a ``(k, n, n)`` stack with n >= 1.
 
     One stacked Cholesky factors them all; if a block is not positive
     definite, each block is taken on its own and the ones Cholesky rejects go
@@ -202,8 +202,6 @@ def chol_dets(blocks: np.ndarray) -> list[float]:
     k, n = blocks.shape[:2]
     if k == 1:  # on Python floats: for one block, array calls cost more than the arithmetic
         return [_principal_det(blocks[0]).value]
-    if n == 0:
-        return [1.0] * k
     if n <= 3:
         return _closed_form_det(blocks.reshape(k, n * n).T, n).tolist()
     try:
@@ -378,7 +376,7 @@ class SymMatrix:
         """The same matrix with rows and columns permuted into ``labels`` order."""
         labels = tuple(labels)
         if set(labels) != set(self.labels) or len(labels) != self.dim:
-            raise UnknownVertexError(set(labels) ^ set(self.labels))
+            raise UnknownVertexError(sorted(set(labels) ^ set(self.labels)))
         if labels == self.labels:
             return self
         idx = [self._pos[lab] for lab in labels]

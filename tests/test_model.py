@@ -1,7 +1,10 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from conftest import oracle_schur, random_model, vertex_names
 from pathweights import symmetric
 from pathweights.datasets import men_network, women_network
 from test_engine_differential import CORPUS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_diagonal_sigma_edgeless_graph():
@@ -231,6 +236,26 @@ def test_from_sigma_label_mismatch():
     g = Graph(["1", "2"])
     with pytest.raises(UnknownVertexError):
         Model.from_sigma(g, SymMatrix(["1", "x"], np.eye(2)))
+
+
+def test_unknown_vertex_labels_do_not_depend_on_the_hash_seed():
+    # a set's order of strings changes with PYTHONHASHSEED; the labels come sorted
+    code = ("import numpy as np\n"
+            "from pathweights import Graph, Model, SymMatrix, UnknownVertexError\n"
+            "s = SymMatrix(['a', 'x', 'y'], np.eye(3))\n"
+            "for make in (lambda: Model(Graph(['a', 'b', 'c'], [('a', 'b')]), s),\n"
+            "             lambda: s.reindexed(['a', 'b', 'c'])):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except UnknownVertexError as exc:\n"
+            "        print(exc.missing, exc)\n")
+    expected = "('b', 'c', 'x', 'y') unknown vertex label(s): 'b', 'c', 'x', 'y'"
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [expected, expected], seed
 
 
 def test_sigma_reordered_to_graph_order():

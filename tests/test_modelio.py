@@ -17,7 +17,8 @@ from pathweights import (
     save_report,
 )
 from pathweights.datasets import dataset_path
-from pathweights.modelio import format_report, report_rows
+from pathweights.cli import main
+from pathweights.modelio import format_report, report_dict, report_rows
 from pathweights.weights import edge_measures
 
 from conftest import random_model
@@ -86,6 +87,20 @@ def test_unknown_vertex_in_edge_is_named(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "pcor": 0.3}]},
+    {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}],
+     "sigma": {"labels": [["a"], "b"], "rows": [[1.0, 0.1], [0.1, 1.0]]}},
+], ids=["list-endpoint", "list-sigma-label"])
+def test_unhashable_labels_are_model_file_errors(doc, tmp_path, capsys):
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=re.escape(f"{path}: ")):
+        load_model(path)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_ambiguous_model_file(tmp_path):
     doc = {
         "vertices": ["a", "b"],
@@ -110,6 +125,44 @@ def test_edgeless_pcor_model(tmp_path):
     path.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
     m = load_model(path)
     np.testing.assert_array_equal(m.sigma.values, np.eye(2))
+
+
+def malformed(name, load, text, message, error=ModelFileError):
+    return pytest.param(load, text, message, error, id=name)
+
+
+@pytest.mark.parametrize("load, text, message, error", [
+    malformed("top-level", load_model, "[1, 2]", "{path}: top level must be a JSON object"),
+    malformed("vertices-type", load_model, '{"vertices": ["a", 1]}',
+              "{path}: 'vertices' must be a list of strings"),
+    malformed("vertices-duplicate", load_model, '{"vertices": ["a", "a"]}',
+              "{path}: duplicate vertex names"),
+    malformed("edges-type", load_model, '{"vertices": ["a"], "edges": {}}', "{path}: 'edges' must be a list"),
+    malformed("edge-without-v", load_model, '{"vertices": ["a", "b"], "edges": [{"u": "a"}]}',
+              "{path}: edge #0 must be an object with 'u' and 'v'"),
+    malformed("pcor-type", load_model, '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "pcor": "0.3"}]}',
+              "{path}: edge #0 has a non-numeric 'pcor'"),
+    malformed("sigma-type", load_model, '{"vertices": ["a"], "sigma": [1.0]}', "{path}: 'sigma' must be an object"),
+    malformed("sigma-labels", load_model, '{"vertices": ["a", "b"], "sigma": {"labels": ["a", "c"], "rows": []}}',
+              "{path}: 'sigma' labels do not match 'vertices'"),
+    malformed("sigma-matrix", load_model,
+              '{"vertices": ["a", "b"], "sigma": {"labels": ["a", "b"], "rows": [[1.0, 0.5], [0.2, 1.0]]}}',
+              "{path}: invalid 'sigma' block: "),
+    malformed("csv-no-data", load_covariance_csv, ",a,b\n", "{path}: expected a header row and at least one data row"),
+    malformed("csv-row-count", load_covariance_csv, ",a,b\na,1,0\n",
+              "{path}: header names 2 columns but file has 1 data rows"),
+    malformed("csv-short-row", load_covariance_csv, ",a,b\na,1\nb,0,1\n", "{path}: row 2 has 2 fields, expected 3"),
+    malformed("csv-non-numeric", load_covariance_csv, ",a,b\na,1,x\nb,0,1\n",
+              "{path}: row 2 has a non-numeric entry: "),
+    malformed("report-rows", lambda path: report_rows(object()), "", "no tabular form for object", TypeError),
+    malformed("report-dict", lambda path: report_dict(object()), "", "no dictionary form for object", TypeError),
+    malformed("report-format", lambda path: format_report([], "xml"), "", "unknown report format 'xml'", ValueError),
+])
+def test_malformed_inputs_raise_typed_errors(load, text, message, error, tmp_path):
+    path = tmp_path / "bad.input"
+    path.write_text(text)
+    with pytest.raises(error, match=re.escape(message.format(path=path))):
+        load(path)
 
 
 # -- covariance CSV --------------------------------------------------------------------

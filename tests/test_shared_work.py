@@ -305,6 +305,17 @@ def test_group_sums_equal_fsum_per_group_and_column(rows, data):
         for lo, hi in zip(starts, ends)]
 
 
+def test_group_sums_of_empty_groups_are_zero():
+    # betweenness passes every target's group; a target no path reaches repeats a start
+    w = np.array([0.5, 0.25, 3.0])
+    on_path = np.array([[True, False], [False, True], [True, True]])
+    assert _group_sums(w, on_path, [0, 2, 2, 3]) == ([0.75, 0.0, 3.0, 0.0],
+                                                     [[0.5, 0.25], [0.0, 0.0], [3.0, 3.0], [0.0, 0.0]])
+    assert _group_sums(np.array([np.inf]), np.array([[True]]), [0, 0]) == ([0.0, math.inf], [[0.0], [math.inf]])
+    assert _group_sums(np.zeros(0), np.zeros((0, 2), dtype=bool), [0, 0]) == ([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+    assert _group_sums(np.zeros(0), np.zeros((0, 2), dtype=bool), []) == ([], [])
+
+
 def test_group_sums_of_non_finite_weights_are_fsum_over_the_entries():
     w = np.array([1.0, np.inf, 2.0, 3.0])
     on_path = np.array([[True], [False], [True], [False]])

@@ -202,6 +202,10 @@ def test_det_product_falls_back_to_log_determinants():
     # |tiny| * |huge| = 1, with one underflowing to 0 and one overflowing
     tiny = sym(np.diag(np.full(40, 1e-10))).values
     assert det_product([(tiny, None, 1), (huge, None, 1)]) == pytest.approx(1.0, rel=1e-12)
+    # 1e200 * -1e200 / 1e250 = -1e150, with the indefinite block's log from LU
+    indefinite, wide = np.diag([1e50, 1e50, 1e50, -1e50]), np.diag([1e50, 1e50, 1e50, 1e100])
+    assert det_product([([1e200],), (indefinite, None, 1), (wide, None, -1)]) == (
+        pytest.approx(-1e150, rel=1e-12))
 
 
 # -- inverse ---------------------------------------------------------------------
