@@ -148,7 +148,8 @@ def _group_sums(w: np.ndarray, on_path: np.ndarray, starts: list[int]) -> tuple[
     the group's rows whose ``on_path`` holds v.
 
     Group g is rows ``starts[g]`` up to the next start (the last runs to the
-    end; a repeated start gives an empty group, which sums to 0.0). The sums
+    end; a repeated start gives an empty group, which costs O(1): its sums are
+    0.0, its numerators one row of zeros that all empty groups share). The sums
     come from :func:`_exact_parts`: a part sums exactly in any order, so one
     matrix product per group, of ``on_path.T`` with a row of ones under it,
     sums each part exactly per column and over the whole group, and an fsum
@@ -159,16 +160,17 @@ def _group_sums(w: np.ndarray, on_path: np.ndarray, starts: list[int]) -> tuple[
     # a last column of ones: each group's last sum is over all its rows
     through = np.column_stack([on_path, np.ones(len(w), dtype=bool)])
     parts = _exact_parts(w) if np.isfinite(w).all() else None
-    if parts is None:
-        sums = [[math.fsum(w[lo:hi][col].tolist()) for col in through[lo:hi].T]
-                for lo, hi in zip(starts, ends)]
-    else:
-        parts = np.stack(parts, axis=1)
-        through = through.astype(float)
+    if parts is not None:
+        parts, through = np.stack(parts, axis=1), through.astype(float)
+
+    def group(lo, hi):
+        if parts is None:
+            return [math.fsum(w[lo:hi][col].tolist()) for col in through[lo:hi].T]
         # + 0.0: a negative part entry times 0.0 is -0.0, which fsum would keep
-        sums = [[math.fsum(c) for c in (through[lo:hi].T @ parts[lo:hi] + 0.0).tolist()]
-                for lo, hi in zip(starts, ends)]
-    return [s[-1] for s in sums], [s[:-1] for s in sums]
+        return [math.fsum(c) for c in (through[lo:hi].T @ parts[lo:hi] + 0.0).tolist()]
+    sums = [group(lo, hi) if lo < hi else None for lo, hi in zip(starts, ends)]
+    zeros = [0.0] * on_path.shape[1]
+    return [s[-1] if s else 0.0 for s in sums], [s[:-1] if s else zeros for s in sums]
 
 
 def _exact_parts(r: np.ndarray) -> list[np.ndarray] | None:

@@ -251,7 +251,8 @@ def test_unknown_vertex_labels_do_not_depend_on_the_hash_seed():
             "        print(exc.missing, exc)\n")
     expected = "('b', 'c', 'x', 'y') unknown vertex label(s): 'b', 'c', 'x', 'y'"
     for seed in "0123":
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr

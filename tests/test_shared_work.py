@@ -305,7 +305,7 @@ def test_group_sums_equal_fsum_per_group_and_column(rows, data):
         for lo, hi in zip(starts, ends)]
 
 
-def test_group_sums_of_empty_groups_are_zero():
+def test_group_sums_of_empty_groups_are_zero(monkeypatch):
     # betweenness passes every target's group; a target no path reaches repeats a start
     w = np.array([0.5, 0.25, 3.0])
     on_path = np.array([[True, False], [False, True], [True, True]])
@@ -314,6 +314,14 @@ def test_group_sums_of_empty_groups_are_zero():
     assert _group_sums(np.array([np.inf]), np.array([[True]]), [0, 0]) == ([0.0, math.inf], [[0.0], [math.inf]])
     assert _group_sums(np.zeros(0), np.zeros((0, 2), dtype=bool), [0, 0]) == ([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
     assert _group_sums(np.zeros(0), np.zeros((0, 2), dtype=bool), []) == ([], [])
+    # a model of many components has O(p^2) unreached pairs: each costs no fsum, not p + 1
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    for w in (np.array([0.5]), np.array([np.inf])):
+        calls.clear()
+        denoms, numers = _group_sums(w, np.array([[True, False]]), [0] + [1] * 500)
+        assert len(calls) == 3 and denoms[1:] == [0.0] * 500 and numers[1:] == [[0.0, 0.0]] * 500
 
 
 def test_group_sums_of_non_finite_weights_are_fsum_over_the_entries():
