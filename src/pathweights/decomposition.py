@@ -30,8 +30,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PathExplosionError, UndefinedShareError
-from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _by_target, _capped, _gather,
-                     _lex_order, _pair_paths, _target_rows, _walk)
+from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _capped, _gather, _lex_order,
+                     _pair_paths, _walk)
 from .model import Kind, Measure, Model
 from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
@@ -144,13 +144,14 @@ def decompose(
     i, j = g._index[src], g._index[dst]
     if a is None:
         cond = m.sigma
-        rows = _shared_pair_paths(m, i, j, cap)
+        rows, unit = _shared_pair_paths(m, i, j, cap)
     else:
         cond = m.sigma.schur_complement(a, g.complement(a))
         rows = _pair_paths(g, i, j, g._blockcut.route(i, j) & g._mask(a), cap=cap, edge_values=m.kappa.values)
+        unit = None
     kernel = _PathKernel(m, cond)
     scale = _endpoint_scale(m, kind, cond, src, dst)
-    weights = kernel(rows, scale)
+    weights = kernel.settle(rows, kernel.unit(rows) if unit is None else unit, scale)
 
     if kind is Measure.INFLATED_CORRELATION and a is not None:
         # Entry of the inverse of the restricted (I - partial_corr) block; the
@@ -176,17 +177,21 @@ def decompose(
     )
 
 
-def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
-    """``_pair_paths`` of vertices x and y with K's edge products, through the
-    model's walk slot ``Model._walks``, so that consecutive calls from one
-    source walk from it once.
+def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> tuple[PathRows, np.ndarray | None]:
+    """``_pair_paths`` of vertices x and y (x before y in label order) with K's
+    edge products, through the model's walk slot ``Model._walks``, so that
+    consecutive calls from one source walk, order and weigh its paths once;
+    and either None or the rows' :meth:`_PathKernel.unit` values on Sigma.
 
-    The slot holds one key, (x, the x-y route, cap), and what is known for
-    it. A call with another key walks its pair and puts its own key in the
-    slot. The second consecutive call with a key walks every path from x
-    inside the route and keeps the rows grouped by target
-    (:func:`_by_target`); that call and later ones take their target's rows
-    from them (:func:`_target_rows`), which are ``_pair_paths``'s rows bit for
+    The slot holds one key, (x, the x-y route, cap), what is known for it and
+    how many calls in a row have asked for it. The second consecutive call
+    with a key, or the first after another key was asked at least twice,
+    walks every path from x inside the route; other calls walk their pair.
+    A source walk keeps the rows to targets after x in label order, puts them
+    in (target, label sequence) order and weighs them by one kernel call
+    keyed by (target, vertex set) (:func:`_source_rows`); a call takes its
+    target's rows and values from them (:func:`_slot_rows`), which are
+    ``_pair_paths``'s rows and the values a kernel would give them, bit for
     bit. If that walk exceeds ``cap`` (another target's paths, or all of
     them), the slot says so and the calls walk their pairs, so only a pair's
     own paths can make its call raise. Pair walks reuse the key's route.
@@ -195,23 +200,48 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> PathRows:
     route = g._blockcut.route(x, y)
     key = (x, route.tobytes(), cap)
     held = m._walks
-    if held is None or held[0] != key:
-        m._walks = (key, None)
-    else:
-        walked = held[1]
-        if walked is None:
-            walk = _walk(g, x, allowed=route, edge_values=m.kappa.values)
-            try:
-                rows = _gather(_capped(walk, cap), len(g.vertices))
-            except PathExplosionError:
-                walked = ()
-            else:
-                order, bounds = _by_target(g, rows)
-                walked = rows.take(order), bounds
-            m._walks = (key, walked)  # one store: a reader sees the old tuple or this one
-        if walked:
-            return _target_rows(g, *walked, y)
-    return _pair_paths(g, x, y, route, cap=cap, edge_values=m.kappa.values)
+    same = held is not None and held[0] == key
+    walked = held[1] if same else None
+    # a source asked for twice in a row (likely all-pairs work) is walked whole
+    if walked is None and (same or (held is not None and held[2] > 1)):
+        try:
+            walked = _source_rows(m, x, route, cap)
+        except PathExplosionError:
+            walked = ()
+    m._walks = (key, walked, held[2] + 1 if same else 1)  # one store: a reader sees the old tuple or this one
+    if walked:
+        return _slot_rows(walked, g._rank[y])
+    return _pair_paths(g, x, y, route, cap=cap, edge_values=m.kappa.values), None
+
+
+def _source_rows(m: Model, x: int, route: np.ndarray, cap: int) -> tuple[PathRows, list[int], np.ndarray]:
+    """The walk from x inside ``route`` (at most ``cap`` rows in all), cut to
+    the rows to targets after x in label order: those rows in (target rank,
+    label sequence) order, the bounds of each target rank's rows, and their
+    :meth:`_PathKernel.unit` values on Sigma, keyed by (target, vertex set).
+    A target's first row of a set is then its label-first one, the row a
+    kernel call on that pair's rows alone takes the set's block from."""
+    g = m.graph
+    n = len(g.vertices)
+    rows = _gather(_capped(_walk(g, x, allowed=route, edge_values=m.kappa.values), cap), n)
+    target = g._rank[rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]]
+    later = np.flatnonzero(target > g._rank[x])
+    order = later[_lex_order(g, np.take(rows.seqs, later, axis=0))]
+    # then by target, stably: a radix sort of keys this small
+    order = order[np.argsort(target[order].astype(np.min_scalar_type(n)), kind="stable")]
+    rows, target = rows.take(order), target[order]
+    bounds = np.searchsorted(target, np.arange(n + 1)).tolist()
+    return rows, bounds, _PathKernel(m).unit(rows, target)
+
+
+def _slot_rows(walked: tuple[PathRows, list[int], np.ndarray], rank: int) -> tuple[PathRows, np.ndarray]:
+    """The rows of :func:`_source_rows` ending at the vertex of label rank
+    ``rank`` (views, ``seqs`` padded to their own longest path), and their
+    kernel values."""
+    rows, bounds, unit = walked
+    part = slice(bounds[rank], bounds[rank + 1])
+    rows = PathRows(*(field[part] for field in rows))
+    return rows._replace(seqs=rows.seqs[:, :rows.lengths.max(initial=2)]), unit[part]
 
 
 def subset_share(report: DecompositionReport, predicate: Callable[[Path], bool]) -> float:

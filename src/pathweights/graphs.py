@@ -4,8 +4,8 @@ Vertices are opaque strings. Edges are unordered pairs without self-loops.
 
 Every path computation in the package runs on one engine, :func:`_walk`: an
 iterative, level-by-level walk of the simple paths from one source over
-integer vertex indices and a CSR adjacency whose neighbour lists are sorted by
-label. Each frontier row is a path from the source; it carries its vertex set
+integer vertex indices and each vertex's neighbours sorted by label (lists
+for narrow levels, a padded table for wide ones). Each frontier row is a path from the source; it carries its vertex set
 as a bitmask over 64-bit words (the on-path test and the key that determinant
 sharing groups paths by) and the running product of an optional edge matrix,
 multiplied left to right from the source. One walk from a source serves every
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -52,7 +53,7 @@ class Graph:
     """Undirected graph with ordered vertex labels and no self-loops."""
 
     __slots__ = ("vertices", "edges", "_index", "_rank", "_names", "_nbr_lists",
-                 "_indptr", "_indices", "_blockcut")
+                 "_indptr", "_indices", "_table", "_blockcut")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Sequence[str]] = ()):
         vertices = tuple(vertices)
@@ -73,8 +74,10 @@ class Graph:
         # integer view for the path walk: vertex i is vertices[i], and
         # _names[i] in an object array that gathers the labels of index
         # arrays. Its neighbours, sorted by label, are _nbr_lists[i], and in
-        # CSR form _indices[_indptr[i]:_indptr[i + 1]]; _rank[i] is the label
-        # rank of i (_rank[-1] = -1 ranks the -1 padding of path rows).
+        # CSR form _indices[_indptr[i]:_indptr[i + 1]], and in table form the
+        # first of them in row i of _table, which pads each row to the largest
+        # degree with i itself (on every path that ends at i); _rank[i] is the
+        # label rank of i (_rank[-1] = -1 ranks the -1 padding of path rows).
         n = len(vertices)
         self._index = index
         self._names = np.array(vertices, dtype=object)
@@ -87,6 +90,9 @@ class Graph:
         self._nbr_lists = [[index[w] for w in sorted(ns)] for ns in adj]
         self._indptr = np.cumsum([0] + [len(ns) for ns in self._nbr_lists], dtype=np.intp)
         self._indices = np.array([w for ns in self._nbr_lists for w in ns], dtype=np.int32)
+        degree = np.diff(self._indptr)
+        self._table = np.repeat(np.arange(n, dtype=np.int32)[:, None], degree.max(initial=0), axis=1)
+        self._table[np.arange(self._table.shape[1]) < degree[:, None]] = self._indices  # row-major: CSR order
         self._blockcut = _BlockCutTree(self)
 
     # -- basic accessors ---------------------------------------------------
@@ -363,19 +369,23 @@ class PathRows(NamedTuple):
 
     def paths(self, graph: Graph) -> list[Path]:
         """The rows as :class:`Path` objects (rows converted a chunk at a time,
-        their labels gathered by one index of an object array per chunk)."""
+        their labels gathered by one index of an object array per chunk, and
+        cut to their lengths only where a row is shorter than the chunk)."""
         names, new, out = graph._names, object.__new__, []
         for i in range(0, len(self.seqs), _CHUNK_ROWS):
-            for row, n in zip(names[self.seqs[i:i + _CHUNK_ROWS]].tolist(),
-                              self.lengths[i:i + _CHUNK_ROWS].tolist()):
-                path = new(Path)  # unchecked: the walk gives legal sequences
-                _set_sequence(path, tuple(row[:n]))
-                out.append(path)
+            seqs, lengths = self.seqs[i:i + _CHUNK_ROWS], self.lengths[i:i + _CHUNK_ROWS]
+            rows = names[seqs].tolist()
+            if (lengths < seqs.shape[1]).any():
+                rows = [row[:n] for row, n in zip(rows, lengths.tolist())]
+            paths = list(map(new, repeat(Path, len(rows))))  # unchecked: the walk gives legal sequences
+            deque(map(_set_sequence, paths, map(tuple, rows)), maxlen=0)
+            out += paths
         return out
 
-    def take(self, order) -> "PathRows":
-        """The rows picked by ``order``, an index array or a slice."""
-        return PathRows(*(field[order] for field in self))
+    def take(self, order: np.ndarray) -> "PathRows":
+        """The rows picked by the index array ``order`` (``np.take`` copies a
+        2-D row whole, where fancy indexing copies it element by element)."""
+        return PathRows(*(np.take(field, order, axis=0) for field in self))
 
 
 def _walk(
@@ -408,18 +418,23 @@ def _walk(
     A level costs a few dozen array operations however narrow it is, so
     levels of at most ``_NARROW_ROWS`` rows (the whole walk on a chain or a
     tree-like route) are expanded row by row in Python instead; both steps
-    extend rows in the same order with the same arithmetic.
+    extend rows in the same order with the same arithmetic. Narrow levels
+    read the CSR neighbour lists, so a walk that stays narrow costs O(edges)
+    to set up however large one degree is. A wide chunk gathers, per row, the
+    key bits of its last vertex's row of the neighbour table (up to the
+    chunk's largest degree), and its extensions are the free entries in
+    row-major order; a walk that reaches a wide level sets up O(n * largest
+    degree) table entries.
     """
     n = len(graph.vertices)
     indptr, indices = graph._indptr, graph._indices
     max_len = n if max_len is None else min(max_len, n)
     enter = np.ones(n, dtype=bool) if allowed is None else allowed
-    # edge value of each CSR slot
-    along = np.ones(len(indices)) if edge_values is None else edge_values[
-        np.repeat(np.arange(n), np.diff(indptr)), indices]
     words = (n + 63) // 64
 
     # narrow levels: rows are (vertex tuple, vertex-set bitmask as an int, product)
+    along = np.ones(len(indices)) if edge_values is None else edge_values[
+        np.repeat(np.arange(n), np.diff(indptr)), indices]
     nbr_lists, enter_list = graph._nbr_lists, enter.tolist()
     along_list, bounds = along.tolist(), indptr.tolist()
     along_lists = [along_list[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -443,44 +458,52 @@ def _walk(
     if not level or length >= max_len:
         return
 
-    # wide levels: numpy, in chunks of at most _CHUNK_ROWS rows. Per CSR
-    # slot, its target is bit slot_bit of word slot_word of a key; a target
-    # the walk may not enter takes the source's bit instead, which every key
-    # has, so the on-path test rejects it.
-    target = np.where(enter[indices], indices, src)
-    slot_word = target >> 6
-    slot_bit = np.left_shift(np.uint64(1), (target & 63).astype(np.uint64))
-    slot_dist = None if dist is None else dist[indices]
-    slot_hit = indices == dst
-    degrees = np.diff(indptr)
+    # wide levels: numpy, in chunks of at most _CHUNK_ROWS rows. The vertex
+    # of table entry (u, c), flat entry u * width + c, is bit bit[u, c] of
+    # word word[u, c] of a key; a vertex the walk may not enter takes the
+    # source's bit instead, which every key has, so the on-path test rejects
+    # it, as it rejects row u's padding u. A row's free entries, taken
+    # row-major, are its extensions in the walk's order.
+    table = graph._table
+    width = table.shape[1]
+    along = np.ones(table.shape) if edge_values is None else edge_values[np.arange(n)[:, None], table]
+    vertex = np.where(enter, np.arange(n), src)
+    word = None if words == 1 else (vertex >> 6)[table]
+    bit = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))[table]
+    level_of = None if dist is None else dist[table]
+    flat_vertex, flat_bit, flat_along = table.ravel(), bit.ravel(), along.ravel()
+    degree = np.diff(indptr)
 
     def extend(seqs, keys, prods, r, at):
-        """Rows ``r`` extended along CSR slots ``at``."""
+        """Rows ``r`` extended along flat table entries ``at``."""
         grown = np.empty((len(r), seqs.shape[1] + 1), dtype=seqs.dtype)
-        grown[:, :-1] = seqs[r]
-        grown[:, -1] = indices[at]
-        keys = keys[r]  # a new C-ordered array, so reshape gives a view to write through
-        keys.reshape(-1)[np.arange(len(r)) * words + slot_word[at]] |= slot_bit[at]
-        return grown, keys, prods[r] * along[at]
+        grown[:, :-1] = np.take(seqs, r, axis=0)
+        grown[:, -1] = flat_vertex[at]
+        keys = np.take(keys, r, axis=0)
+        if words == 1:
+            keys[:, 0] |= flat_bit[at]
+        else:
+            keys[np.arange(len(r)), word.ravel()[at]] |= flat_bit[at]
+        return grown, keys, prods[r] * flat_along[at]
 
     stack = [_rows_array(level, words)]
     while stack:
         seqs, keys, prods = stack.pop()
         length = seqs.shape[1]
         last = seqs[:, -1]
-        degree = degrees[last]
-        r = np.repeat(np.arange(len(last)), degree)
-        at = np.arange(len(r)) + np.repeat(indptr[last] - np.cumsum(degree) + degree, degree)
-        free = (keys.reshape(-1)[r * words + slot_word[at]] & slot_bit[at]) == 0
-        if dist is not None:
-            free &= slot_dist[at] == length
-        r, at = r[free], at[free]
+        cols = slice(0, degree[last].max())  # the chunk's entries: up to its largest degree
+        held = keys if words == 1 else np.take_along_axis(keys, word[last, cols], 1)
+        free = (held & bit[last, cols]) == 0
+        if level_of is not None:
+            free &= level_of[last, cols] == length
+        r, at = np.divmod(np.flatnonzero(free), cols.stop)
+        at += last[r] * width
         grow = length + 1 < max_len
         if dst < 0:
             done = grown = extend(seqs, keys, prods, r, at)
         else:
-            # split the slots into hits and the rest first, then build each part once
-            hit = slot_hit[at]
+            # split the entries into hits and the rest first, then build each part once
+            hit = flat_vertex[at] == dst
             done = None
             if hit.any():
                 done = extend(seqs, keys, prods, r[hit], at[hit])
@@ -580,20 +603,6 @@ def _by_target(graph: Graph, rows: PathRows) -> tuple[np.ndarray, list[int]]:
     last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
     order = np.argsort(last.astype(np.min_scalar_type(n)), kind="stable")
     return order, [0] + np.cumsum(np.bincount(last, minlength=n)).tolist()
-
-
-def _target_rows(graph: Graph, rows: PathRows, bounds: list[int], y: int) -> PathRows:
-    """Fresh copies of the rows ending at vertex ``y`` of ``rows``, grouped by
-    :func:`_by_target` with ``bounds``, in label order and padded to their own
-    longest path. From a walk from x over the x-y route, they are the rows,
-    products included, of :func:`_pair_paths` of x and y with the same
-    ``edge_values``: each x-y path lies in the route, its product taken alike."""
-    lo, hi = bounds[y], bounds[y + 1]
-    if lo == hi:
-        return _gather((), len(graph.vertices))
-    part = rows.take(slice(lo, hi))
-    part = part._replace(seqs=part.seqs[:, :part.lengths.max()])
-    return part.take(_lex_order(graph, part.seqs))
 
 
 def _pair_paths(

@@ -93,10 +93,12 @@ class Model:
       order it was taken (see ``weights._PathKernel``); at most
       ``weights.DET_MEMO_SIZE`` blocks, after which no more are added.
     - ``_walks``: one slot for unrestricted ``decompose`` calls, keyed by
-      (source, the pair's route of blocks, cap). The second consecutive call
-      with a key walks every path from the source in the route once and
-      keeps its rows grouped by target; that call and later ones each put
-      their own target's rows in label order (see
+      (source, the pair's route of blocks, cap), with how many calls in a
+      row have asked for its key. The second consecutive call with a key,
+      or the first after a key asked for twice, walks every path from the
+      source in the route once, and keeps the rows to later targets in
+      (target, label sequence) order with their kernel values on Sigma;
+      that call and later ones slice their own target's rows (see
       ``decomposition._shared_pair_paths``). It holds one source's paths,
       and never more than ``cap`` of them.
 

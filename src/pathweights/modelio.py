@@ -74,8 +74,9 @@ def _parse_edges(doc: dict, vertices: list[str], path) -> list[dict]:
                 raise ModelFileError(
                     f"{path}: edge #{i} references unknown vertex {edge[key]!r}"
                 )
-        if "pcor" in edge and not isinstance(edge["pcor"], (int, float)):
-            raise ModelFileError(f"{path}: edge #{i} has a non-numeric 'pcor'")
+        # a JSON boolean loads as a bool, which is an int to isinstance
+        if "pcor" in edge and (isinstance(edge["pcor"], bool) or not isinstance(edge["pcor"], (int, float))):
+            raise ModelFileError(f"{path}: edge #{i} has a non-numeric 'pcor': {json.dumps(edge['pcor'])}")
     return edges
 
 

@@ -375,7 +375,10 @@ class SymMatrix:
     def reindexed(self, labels: Sequence[str]) -> "SymMatrix":
         """The same matrix with rows and columns permuted into ``labels`` order."""
         labels = tuple(labels)
-        if set(labels) != set(self.labels) or len(labels) != self.dim:
+        if len(set(labels)) < len(labels):
+            repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+            raise InvalidMatrixError(f"label {repeated!r} is repeated")
+        if set(labels) != set(self.labels):
             raise UnknownVertexError(sorted(set(labels) ^ set(self.labels)))
         if labels == self.labels:
             return self

@@ -52,17 +52,22 @@ class _PathKernel:
     ``M`` is the covariance the paths decompose: Sigma, or the conditional
     covariance of a restriction set. A block determinant depends only on the
     vertex set, and distinct sets are few next to paths, so one kernel (one
-    per call) evaluates one determinant per distinct set, batched through a
-    stacked Cholesky, and reuses it for every later path on that set. The
-    batched block is taken in the ``frozenset`` order of the labels of the
-    set's first row: its first row in the first call that meets the set, in
-    the order the rows are given. So rows must arrive in the caller's
-    visiting order: every weight is then bit for bit what evaluating each path
-    in that order gives. A single path takes its block in storage order, by
-    integer position, blocks of up to 3 vertices in closed form.
-    Where the direct product is not finite (on long paths |M_PP| can overflow
-    while the edge product underflows), or is 0 with no factor 0, the weight
-    is taken by :func:`det_product`, which falls back to log space.
+    per analysis) evaluates one determinant per distinct set, batched through
+    a stacked Cholesky (each distinct ordered block once per call), and
+    reuses it for every later path on that set. The batched block is taken in
+    the ``frozenset`` order of the labels of the set's first row: its first
+    row in the first call that meets the set, in the order the rows are
+    given. So rows must arrive in the caller's visiting order: every weight
+    is then bit for bit what evaluating each path in that order gives. A
+    single path takes its block in storage order, by integer position, blocks
+    of up to 3 vertices in closed form.
+
+    A call is :meth:`unit`, the weight before the scale, then :meth:`settle`,
+    which multiplies by the scale, so a caller may keep unit values and scale
+    them later with the same bits. Where the direct product is not finite (on
+    long paths |M_PP| can overflow while the edge product underflows), or is
+    0 with no factor 0, :meth:`settle` takes the weight by :meth:`single`,
+    whose :func:`det_product` falls back to log space.
 
     On Sigma, a determinant is also looked up in, and kept in, the model's
     memo ``Model._dets``, keyed by the block's storage positions in the order
@@ -92,36 +97,63 @@ class _PathKernel:
                 memo[block] = det
 
     def __call__(self, rows: PathRows, scale) -> np.ndarray:
+        return self.settle(rows, self.unit(rows), scale)
+
+    def unit(self, rows: PathRows, tags: np.ndarray | None = None) -> np.ndarray:
+        """sign * |M_PP| * prod(k_uv) of each row, its weight before the scale.
+
+        With ``tags``, one integer per row, rows are keyed by (tag, vertex
+        set): a set takes its block from its first row of each tag, as a call
+        per tag, on that tag's rows alone, would. The kernel keeps the
+        determinants it finds under keys packed for this call's rows, so a
+        kernel given tags serves that one call.
+        """
         keys = rows.keys
+        if tags is not None:
+            tags = tags.astype(np.uint64)
+            shift = int(keys.max(initial=0)).bit_length()
+            if keys.shape[1] == 1 and shift + int(tags.max(initial=0)).bit_length() <= 64:
+                keys = keys | tags[:, None] << np.uint64(shift)
+            else:
+                keys = np.column_stack([tags, keys])
         if keys.shape[1] > 1:
             keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
-        else:  # in the narrowest type: up to 16 vertices, unique's stable sort is a radix sort
+        else:  # in the narrowest type: up to 16 bits, unique's stable sort is a radix sort
             keys = keys[:, 0].astype(np.min_scalar_type(keys.max(initial=0).item()))
         sets, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         sets = sets.tolist()
         dets = [self._dets.get(k) for k in sets]
         new = [j for j, det in enumerate(dets) if det is None]
-        by_size: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+        # the sets to factor, by ordered block: sets of different tags often share one
+        pending: dict[tuple[int, ...], list[int]] = {}
         position, memo = self.pos.__getitem__, self._memo or {}
         for j, row, n in zip(new, self.names[rows.seqs[first[new]]].tolist(),
                              rows.lengths[first[new]].tolist()):
             block = tuple(map(position, frozenset(row[:n])))
             det = memo.get(block)
             if det is None:
-                js, blocks = by_size.setdefault(n, ([], []))
-                js.append(j)
-                blocks.append(block)
+                pending.setdefault(block, []).append(j)
             else:
                 dets[j] = self._dets[sets[j]] = det
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for block in pending:
+            by_size.setdefault(len(block), []).append(block)
         with np.errstate(over="ignore", invalid="ignore"):
-            for js, blocks in by_size.values():
+            for blocks in by_size.values():
                 idx = np.array(blocks, dtype=np.intp)
                 found = chol_dets(self.values[idx[:, :, None], idx[:, None, :]])
-                for j, det in zip(js, found):
-                    dets[j] = self._dets[sets[j]] = det
+                for block, det in zip(blocks, found):
+                    for j in pending[block]:
+                        dets[j] = self._dets[sets[j]] = det
                 self._keep(zip(blocks, found))
             sign = (rows.lengths & 1) * 2.0 - 1.0
-            out = sign * np.array(dets)[inverse.ravel()] * rows.prods * scale
+            return sign * np.array(dets)[inverse.ravel()] * rows.prods
+
+    def settle(self, rows: PathRows, unit: np.ndarray, scale) -> np.ndarray:
+        """The weights ``unit * scale`` of ``rows`` (a fresh array), each that
+        comes out 0 or not finite taken by :meth:`single` instead."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = unit * scale
         scales = np.broadcast_to(scale, out.shape)
         for r in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
             out[r] = self.single(rows.seqs[r, :rows.lengths[r]].tolist(), scales[r].item())

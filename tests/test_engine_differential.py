@@ -182,3 +182,64 @@ def test_wide_chunked_walk_gives_the_same_results(m, monkeypatch):
         for y in range(n):
             if y != x:
                 assert_label_order_per_length(g, graphs._walk(g, x, y))
+
+
+def rows_by_length(blocks):
+    """Each length's rows of walk blocks, concatenated in yield order."""
+    parts = {}
+    for block in blocks:
+        parts.setdefault(block[0].shape[1], []).append(block)
+    return {length: [np.concatenate(field) for field in zip(*bs)] for length, bs in parts.items()}
+
+
+def test_wide_walk_over_two_key_words_gives_the_default_blocks(monkeypatch):
+    # 70 vertices, so keys take two 64-bit words, and a dense block across
+    # the word boundary on a chain, so walks fill wide levels
+    names = vertex_names(70)
+    rng = np.random.default_rng(65)
+    edges = [(names[i], names[i + 1]) for i in range(69)]
+    edges += [(names[i], names[j]) for i, j in combinations(range(59, 67), 2) if j > i + 1 and rng.random() < 0.5]
+    g = Graph(names, edges)
+    k = rng.standard_normal((70, 70))
+    n = len(names)
+
+    def walks():
+        for x in (0, 58, 61, 63, 64, 69):
+            hops = g.bfs_distances(names[x])
+            dist = np.array([hops[v] for v in names])
+            yield graphs._walk(g, x, edge_values=k)
+            yield graphs._walk(g, x, max_len=6, edge_values=k)
+            yield graphs._walk(g, x, dist=dist, edge_values=k)
+            yield graphs._walk(g, x, allowed=g._mask(names[55:68]) | (np.arange(n) == x))
+            for y in (1, 62, 64, 69):
+                if y != x:
+                    yield graphs._walk(g, x, y, allowed=g._blockcut.route(x, y), edge_values=k)
+                    yield graphs._walk(g, x, y, max_len=7)
+
+    want = [rows_by_length(w) for w in walks()]
+    assert any(len(rows[0]) > 200 for by_length in want for rows in by_length.values())
+    monkeypatch.setattr(graphs, "_NARROW_ROWS", 0)
+    monkeypatch.setattr(graphs, "_CHUNK_ROWS", 5)
+    got = [rows_by_length(w) for w in walks()]
+    assert [sorted(w) for w in got] == [sorted(w) for w in want]
+    for g_rows, w_rows in zip(got, want):
+        for length in w_rows:
+            for a, b in zip(g_rows[length], w_rows[length]):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_walk_that_stays_narrow_does_not_read_the_neighbour_table():
+    # On a star the table has a row as wide as the hub's degree for every
+    # vertex; a pair walk between two leaves stays narrow on its route and
+    # must cost O(edges) to set up.
+    names = vertex_names(200)
+    g = Graph(names, [(names[0], v) for v in names[1:]])
+    k = np.random.default_rng(7).standard_normal((200, 200))
+
+    def walk():
+        return [[a.tobytes() for a in block] for block in graphs._walk(g, 1, 2, g._blockcut.route(1, 2), edge_values=k)]
+
+    want = walk()
+    assert len(want) == 1 and g._table.shape == (200, 199)
+    g._table = None
+    assert walk() == want

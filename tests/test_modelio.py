@@ -142,6 +142,8 @@ def malformed(name, load, text, message, error=ModelFileError):
               "{path}: edge #0 must be an object with 'u' and 'v'"),
     malformed("pcor-type", load_model, '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "pcor": "0.3"}]}',
               "{path}: edge #0 has a non-numeric 'pcor'"),
+    malformed("pcor-bool", load_model, '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "pcor": false}]}',
+              "{path}: edge #0 has a non-numeric 'pcor': false"),
     malformed("sigma-type", load_model, '{"vertices": ["a"], "sigma": [1.0]}', "{path}: 'sigma' must be an object"),
     malformed("sigma-labels", load_model, '{"vertices": ["a", "b"], "sigma": {"labels": ["a", "c"], "rows": []}}',
               "{path}: 'sigma' labels do not match 'vertices'"),
@@ -256,3 +258,11 @@ def test_report_output_is_deterministic(women):
     a = format_report(betweenness(women), "json")
     b = format_report(betweenness(women), "json")
     assert a == b
+
+
+def test_check_rejects_a_boolean_pcor(tmp_path, capsys):
+    path = tmp_path / "bool.model"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                "edges": [{"u": "a", "v": "b", "pcor": 0.3}, {"u": "b", "v": "c", "pcor": True}]}))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: edge #1 has a non-numeric 'pcor': true\n"

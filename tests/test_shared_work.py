@@ -88,12 +88,20 @@ def test_each_source_is_walked_once_after_its_first_pair(monkeypatch):
     for x, y in combinations(m.vertices, 2):
         decompose(m, x, y)
     n = len(m.vertices)
-    # one pair walk per source, then one source walk for each with a second pair
-    assert calls == {"pair": n - 1, "source": n - 2}
+    # the first source's first pair is walked alone and its second walks the
+    # source; each later source follows one asked for twice, so it is walked
+    # at its first pair
+    assert calls == {"pair": 1, "source": n - 1}
     calls.update(pair=0, source=0)
     for x, y in combinations(m.vertices, 2):  # a restricted call leaves the slot alone
         decompose(m, x, y, restrict=m.vertices)
     assert calls == {"pair": n * (n - 1) // 2, "source": 0}
+    calls.update(pair=0, source=0)
+    # sources that alternate never ask for one key twice in a row: pairs are walked alone
+    pairs = [(m.vertices[s], y) for y in m.vertices[2:] for s in (0, 1)]
+    for x, y in pairs:
+        decompose(m, x, y)
+    assert calls == {"pair": len(pairs), "source": 0}
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide-chunks-of-5"])
@@ -105,21 +113,29 @@ def test_target_rows_of_a_grouped_source_walk_are_the_pair_walks_rows(i, wide, m
     m = dense_p13() if i == len(CORPUS) else CORPUS[i]
     g, k, n = m.graph, m.kappa.values, len(m.vertices)
     for x in range(n):
-        grouped = {}  # by route: one source walk serves every target whose route it is
+        walked = {}  # by route: one source walk serves every target whose route it is
         for y in range(n):
-            if y == x:
+            if g._rank[y] <= g._rank[x]:
                 continue
             route = g._blockcut.route(x, y)
-            if route.tobytes() not in grouped:
-                rows = graphs._gather(graphs._walk(g, x, allowed=route, edge_values=k), n)
-                order, bounds = graphs._by_target(g, rows)
-                grouped[route.tobytes()] = rows.take(order), bounds
-            held = grouped[route.tobytes()]
-            got = graphs._target_rows(g, *held, y)
+            if route.tobytes() not in walked:
+                walked[route.tobytes()] = decomposition._source_rows(fresh(m), x, route, decomposition.DEFAULT_PATH_CAP)
+            got, unit = decomposition._slot_rows(walked[route.tobytes()], g._rank[y])
             want = graphs._pair_paths(g, x, y, edge_values=k)
-            for a, b, kept in zip(got, want, held[0]):
+            for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
-                assert not np.may_share_memory(a, kept)  # a fresh copy
+            assert unit.tobytes() == weights._PathKernel(fresh(m)).unit(want).tobytes()
+
+
+def test_reports_keep_copies_of_the_slot_rows():
+    m = fresh(CORPUS[40])
+    x, y = m.vertices[0], m.vertices[-1]
+    decompose(m, x, y)
+    report = decompose(m, x, y)  # the second call walks the source
+    held = m._walks[1][0]
+    rows = report._rows[1]
+    assert not any(np.may_share_memory(a, b) for a in rows[:2] for b in held)
+    assert [e.path for e in report.entries] == enumerate_paths(m.graph, x, y)
 
 
 def k4_behind_a_square():

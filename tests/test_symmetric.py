@@ -483,3 +483,13 @@ def test_derived_matrix_keeps_the_finiteness_check():
         SymMatrix._derived(("a", "b"), np.array([[1.0, np.inf], [np.inf, 1.0]]))
     with pytest.raises(InvalidMatrixError, match="finite"):
         sym([[1e-310, 0.0], [0.0, 1.0]]).inverse()  # 1 / 1e-310 overflows
+
+
+def test_reindexed_names_a_repeated_label():
+    m = SymMatrix(["a", "b"], np.eye(2))
+    for labels, repeated in ((["a", "a", "b"], "a"), (["b", "a", "b"], "b"), (["a", "a"], "a")):
+        with pytest.raises(InvalidMatrixError, match=f"label '{repeated}' is repeated"):
+            m.reindexed(labels)
+    with pytest.raises(UnknownVertexError) as info:
+        m.reindexed(["a", "c"])
+    assert info.value.missing == ("b", "c")
