@@ -30,8 +30,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PathExplosionError, UndefinedShareError
-from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _capped, _gather, _lex_order,
-                     _pair_paths, _walk)
+from .graphs import (DEFAULT_PATH_CAP, Graph, Path, PathRows, _by_target, _capped, _gather,
+                     _lex_order, _pair_paths, _walk)
 from .model import Kind, Measure, Model
 from .weights import DEFAULT_ZERO_TOL, _endpoint_scale, _PathKernel
 
@@ -184,12 +184,14 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> tuple[PathRows, np
     and either None or the rows' :meth:`_PathKernel.unit` values on Sigma.
 
     The slot holds one key, (x, the x-y route, cap), what is known for it and
-    how many calls in a row have asked for it. The second consecutive call
-    with a key, or the first after another key was asked at least twice,
-    walks every path from x inside the route; other calls walk their pair.
-    A source walk keeps the rows to targets after x in label order, puts them
-    in (target, label sequence) order and weighs them by one kernel call
-    keyed by (target, vertex set) (:func:`_source_rows`); a call takes its
+    whether the last call repeated it. The second consecutive call with a
+    key, or the first after a repeated key, walks every path from x inside
+    the route; other calls walk their pair. So an all-pairs sweep walks one
+    pair and then every source once; the price is a single call after a
+    repeated key, which walks its source for one target. A source walk keeps
+    the rows to targets after x in label order, grouped by target and in
+    label order within each, and weighs them by one kernel call keyed by
+    (target, vertex set) (:func:`_source_rows`); a call takes its
     target's rows and values from them (:func:`_slot_rows`), which are
     ``_pair_paths``'s rows and the values a kernel would give them, bit for
     bit. If that walk exceeds ``cap`` (another target's paths, or all of
@@ -202,44 +204,40 @@ def _shared_pair_paths(m: Model, x: int, y: int, cap: int) -> tuple[PathRows, np
     held = m._walks
     same = held is not None and held[0] == key
     walked = held[1] if same else None
-    # a source asked for twice in a row (likely all-pairs work) is walked whole
-    if walked is None and (same or (held is not None and held[2] > 1)):
+    if walked is None and (same or (held is not None and held[2])):
         try:
             walked = _source_rows(m, x, route, cap)
         except PathExplosionError:
             walked = ()
-    m._walks = (key, walked, held[2] + 1 if same else 1)  # one store: a reader sees the old tuple or this one
+    m._walks = (key, walked, same)  # one store: a reader sees the old tuple or this one
     if walked:
-        return _slot_rows(walked, g._rank[y])
+        return _slot_rows(walked, y)
     return _pair_paths(g, x, y, route, cap=cap, edge_values=m.kappa.values), None
 
 
 def _source_rows(m: Model, x: int, route: np.ndarray, cap: int) -> tuple[PathRows, list[int], np.ndarray]:
     """The walk from x inside ``route`` (at most ``cap`` rows in all), cut to
-    the rows to targets after x in label order: those rows in (target rank,
-    label sequence) order, the bounds of each target rank's rows, and their
-    :meth:`_PathKernel.unit` values on Sigma, keyed by (target, vertex set).
-    A target's first row of a set is then its label-first one, the row a
-    kernel call on that pair's rows alone takes the set's block from."""
+    the rows to targets after x in label order: those rows in label order,
+    grouped by target (:func:`_by_target`), the bounds of each target's rows,
+    and their :meth:`_PathKernel.unit` values on Sigma, keyed by (target,
+    vertex set). A target's first row of a set is then its label-first one,
+    the row a kernel call on that pair's rows alone takes the set's block from."""
     g = m.graph
     n = len(g.vertices)
     rows = _gather(_capped(_walk(g, x, allowed=route, edge_values=m.kappa.values), cap), n)
-    target = g._rank[rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]]
-    later = np.flatnonzero(target > g._rank[x])
-    order = later[_lex_order(g, np.take(rows.seqs, later, axis=0))]
-    # then by target, stably: a radix sort of keys this small
-    order = order[np.argsort(target[order].astype(np.min_scalar_type(n)), kind="stable")]
-    rows, target = rows.take(order), target[order]
-    bounds = np.searchsorted(target, np.arange(n + 1)).tolist()
-    return rows, bounds, _PathKernel(m).unit(rows, target)
+    last = rows.seqs[np.arange(len(rows.seqs)), rows.lengths - 1]
+    later = np.flatnonzero(g._rank[last] > g._rank[x])
+    rows = rows.take(later[_lex_order(g, np.take(rows.seqs, later, axis=0))])
+    order, bounds = _by_target(g, rows)
+    rows = rows.take(order)
+    return rows, bounds, _PathKernel(m).unit(rows, np.repeat(np.arange(n), np.diff(bounds)))
 
 
-def _slot_rows(walked: tuple[PathRows, list[int], np.ndarray], rank: int) -> tuple[PathRows, np.ndarray]:
-    """The rows of :func:`_source_rows` ending at the vertex of label rank
-    ``rank`` (views, ``seqs`` padded to their own longest path), and their
-    kernel values."""
+def _slot_rows(walked: tuple[PathRows, list[int], np.ndarray], y: int) -> tuple[PathRows, np.ndarray]:
+    """The rows of :func:`_source_rows` ending at vertex ``y`` (views,
+    ``seqs`` padded to their own longest path), and their kernel values."""
     rows, bounds, unit = walked
-    part = slice(bounds[rank], bounds[rank + 1])
+    part = slice(bounds[y], bounds[y + 1])
     rows = PathRows(*(field[part] for field in rows))
     return rows._replace(seqs=rows.seqs[:, :rows.lengths.max(initial=2)]), unit[part]
 

@@ -5,8 +5,9 @@ Vertices are opaque strings. Edges are unordered pairs without self-loops.
 Every path computation in the package runs on one engine, :func:`_walk`: an
 iterative, level-by-level walk of the simple paths from one source over
 integer vertex indices and each vertex's neighbours sorted by label (lists
-for narrow levels, a padded table for wide ones). Each frontier row is a path from the source; it carries its vertex set
-as a bitmask over 64-bit words (the on-path test and the key that determinant
+for narrow levels, a padded table, built on first use, for wide ones). Each
+frontier row is a path from the source; it carries its vertex set as a
+bitmask over 64-bit words (the on-path test and the key that determinant
 sharing groups paths by) and the running product of an optional edge matrix,
 multiplied left to right from the source. One walk from a source serves every
 pair that starts there (betweenness, path rankings); a single-pair walk stops
@@ -74,10 +75,10 @@ class Graph:
         # integer view for the path walk: vertex i is vertices[i], and
         # _names[i] in an object array that gathers the labels of index
         # arrays. Its neighbours, sorted by label, are _nbr_lists[i], and in
-        # CSR form _indices[_indptr[i]:_indptr[i + 1]], and in table form the
-        # first of them in row i of _table, which pads each row to the largest
-        # degree with i itself (on every path that ends at i); _rank[i] is the
-        # label rank of i (_rank[-1] = -1 ranks the -1 padding of path rows).
+        # CSR form _indices[_indptr[i]:_indptr[i + 1]] (and in table form, row
+        # i of _neighbour_table(), built when a walk first needs it); _rank[i]
+        # is the label rank of i (_rank[-1] = -1 ranks the -1 padding of path
+        # rows).
         n = len(vertices)
         self._index = index
         self._names = np.array(vertices, dtype=object)
@@ -90,10 +91,21 @@ class Graph:
         self._nbr_lists = [[index[w] for w in sorted(ns)] for ns in adj]
         self._indptr = np.cumsum([0] + [len(ns) for ns in self._nbr_lists], dtype=np.intp)
         self._indices = np.array([w for ns in self._nbr_lists for w in ns], dtype=np.int32)
-        degree = np.diff(self._indptr)
-        self._table = np.repeat(np.arange(n, dtype=np.int32)[:, None], degree.max(initial=0), axis=1)
-        self._table[np.arange(self._table.shape[1]) < degree[:, None]] = self._indices  # row-major: CSR order
+        self._table = None
         self._blockcut = _BlockCutTree(self)
+
+    def _neighbour_table(self) -> np.ndarray:
+        """Each vertex's neighbours in label order, one row per vertex, padded
+        to the largest degree with the row's own vertex (which is on every path
+        that ends there): O(n * largest degree), built on the first call and
+        kept. Its row-major order is the CSR order."""
+        table = self._table
+        if table is None:  # two threads may both build it; either copy serves
+            degree = np.diff(self._indptr)
+            table = np.repeat(np.arange(len(degree), dtype=np.int32)[:, None], degree.max(initial=0), axis=1)
+            table[np.arange(table.shape[1]) < degree[:, None]] = self._indices
+            self._table = table
+        return table
 
     # -- basic accessors ---------------------------------------------------
 
@@ -421,10 +433,10 @@ def _walk(
     extend rows in the same order with the same arithmetic. Narrow levels
     read the CSR neighbour lists, so a walk that stays narrow costs O(edges)
     to set up however large one degree is. A wide chunk gathers, per row, the
-    key bits of its last vertex's row of the neighbour table (up to the
-    chunk's largest degree), and its extensions are the free entries in
-    row-major order; a walk that reaches a wide level sets up O(n * largest
-    degree) table entries.
+    key bits of its last vertex's row of the neighbour table
+    (:meth:`Graph._neighbour_table`, up to the chunk's largest degree), and
+    its extensions are the free entries in row-major order; a walk that
+    reaches a wide level sets up O(n * largest degree) table entries.
     """
     n = len(graph.vertices)
     indptr, indices = graph._indptr, graph._indices
@@ -464,7 +476,7 @@ def _walk(
     # source's bit instead, which every key has, so the on-path test rejects
     # it, as it rejects row u's padding u. A row's free entries, taken
     # row-major, are its extensions in the walk's order.
-    table = graph._table
+    table = graph._neighbour_table()
     width = table.shape[1]
     along = np.ones(table.shape) if edge_values is None else edge_values[np.arange(n)[:, None], table]
     vertex = np.where(enter, np.arange(n), src)

@@ -93,11 +93,11 @@ class Model:
       order it was taken (see ``weights._PathKernel``); at most
       ``weights.DET_MEMO_SIZE`` blocks, after which no more are added.
     - ``_walks``: one slot for unrestricted ``decompose`` calls, keyed by
-      (source, the pair's route of blocks, cap), with how many calls in a
-      row have asked for its key. The second consecutive call with a key,
-      or the first after a key asked for twice, walks every path from the
-      source in the route once, and keeps the rows to later targets in
-      (target, label sequence) order with their kernel values on Sigma;
+      (source, the pair's route of blocks, cap), with whether the last call
+      repeated its key. The second consecutive call with a key, or the
+      first after a repeated key, walks every path from the source in the
+      route once, and keeps the rows to later targets grouped by target, in
+      label order within each, with their kernel values on Sigma;
       that call and later ones slice their own target's rows (see
       ``decomposition._shared_pair_paths``). It holds one source's paths,
       and never more than ``cap`` of them.

@@ -228,18 +228,21 @@ def test_wide_walk_over_two_key_words_gives_the_default_blocks(monkeypatch):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_a_walk_that_stays_narrow_does_not_read_the_neighbour_table():
+def test_only_a_walk_that_goes_wide_builds_the_neighbour_table():
     # On a star the table has a row as wide as the hub's degree for every
-    # vertex; a pair walk between two leaves stays narrow on its route and
-    # must cost O(edges) to set up.
+    # vertex. Building the graph and a pair walk between two leaves, which
+    # stays narrow on its route, must cost O(edges); a walk from the hub
+    # reaches a wide level (its 199 paths of two vertices), builds the table
+    # and keeps it for later wide walks.
     names = vertex_names(200)
     g = Graph(names, [(names[0], v) for v in names[1:]])
     k = np.random.default_rng(7).standard_normal((200, 200))
-
-    def walk():
-        return [[a.tobytes() for a in block] for block in graphs._walk(g, 1, 2, g._blockcut.route(1, 2), edge_values=k)]
-
-    want = walk()
-    assert len(want) == 1 and g._table.shape == (200, 199)
-    g._table = None
-    assert walk() == want
+    assert g._table is None
+    blocks = list(graphs._walk(g, 1, 2, g._blockcut.route(1, 2), edge_values=k))
+    assert len(blocks) == 1 and g._table is None
+    assert sum(len(b[0]) for b in graphs._walk(g, 0, edge_values=k)) == 199
+    table = g._table
+    assert table.shape == (200, 199) and table[0].tolist() == [g._index[v] for v in sorted(names[1:])]
+    assert table[1].tolist() == [0] + [1] * 198  # a leaf's row: the hub, then the leaf itself
+    assert sum(len(b[0]) for b in graphs._walk(g, 1, edge_values=k)) == 1 + 198
+    assert g._table is table

@@ -102,6 +102,12 @@ def test_each_source_is_walked_once_after_its_first_pair(monkeypatch):
     for x, y in pairs:
         decompose(m, x, y)
     assert calls == {"pair": len(pairs), "source": 0}
+    calls.update(pair=0, source=0)
+    # after a repeated key, a single call walks its source; the next ones their pairs
+    v = m.vertices
+    for x, y in ((v[0], v[1]), (v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[1], v[6])):
+        decompose(m, x, y)
+    assert calls == {"pair": 3, "source": 2}
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide-chunks-of-5"])
@@ -120,7 +126,7 @@ def test_target_rows_of_a_grouped_source_walk_are_the_pair_walks_rows(i, wide, m
             route = g._blockcut.route(x, y)
             if route.tobytes() not in walked:
                 walked[route.tobytes()] = decomposition._source_rows(fresh(m), x, route, decomposition.DEFAULT_PATH_CAP)
-            got, unit = decomposition._slot_rows(walked[route.tobytes()], g._rank[y])
+            got, unit = decomposition._slot_rows(walked[route.tobytes()], y)
             want = graphs._pair_paths(g, x, y, edge_values=k)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
