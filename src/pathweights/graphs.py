@@ -14,7 +14,9 @@ pair that starts there (betweenness, path rankings); a single-pair walk stops
 at the target and first prunes the graph to the biconnected blocks on the
 route between the two vertices in the block-cut tree (Hopcroft and Tarjan,
 1973), which holds every simple path between them, so tree-like graphs cost
-time in proportion to their output. The walk has no recursion, so long chains
+time in proportion to their output. The tree is not built: the route climbs
+the pointers that the DFS finding the blocks leaves, from each block to the
+vertex it was reached from. The walk has no recursion, so long chains
 are fine, and expands large frontiers in chunks, so memory stays bounded.
 
 :func:`enumerate_paths` is a thin wrapper over the walk: its result list is
@@ -147,10 +149,9 @@ class Graph:
 
     def components(self) -> list[tuple[str, ...]]:
         """Connected components as vertex tuples, in graph vertex order."""
-        bc = self._blockcut
         groups: dict[int, list[str]] = {}
-        for i, v in enumerate(self.vertices):
-            groups.setdefault(bc.component[bc.node_of[i]], []).append(v)
+        for v, root in zip(self.vertices, self._blockcut.root):
+            groups.setdefault(root, []).append(v)
         return [tuple(vs) for vs in groups.values()]
 
     def is_tree(self) -> bool:
@@ -182,106 +183,84 @@ class Graph:
 
 
 class _BlockCutTree:
-    """Biconnected blocks of a graph and its block-cut tree, rooted per component.
+    """Biconnected blocks of a graph, as its Hopcroft-Tarjan DFS leaves them.
 
-    Tree nodes ``0 .. len(blocks) - 1`` are blocks; each cut vertex adds one
-    node after them. Every simple x-y path lies inside the union of the blocks
-    on the tree path between the nodes of x and y (Hopcroft and Tarjan, 1973).
+    ``blocks[b]`` holds block b's vertex indices and ``top[b]`` the vertex the
+    DFS reached it from, a cut vertex or a DFS root. ``owner[v]`` is the block
+    of vertex v's DFS tree edge (-1 at a root) and ``root[v]`` its DFS root.
+    The DFS pops a block after every block below it, so block indices are a
+    post-order of the block-cut tree, in which a block's parent is the block
+    ``owner[top[b]]`` above its top. Every simple x-y path lies inside the
+    blocks on the tree path between x and y (Hopcroft and Tarjan, 1973).
     """
 
     def __init__(self, graph: Graph):
         n = len(graph.vertices)
         adj = graph._nbr_lists
-        blocks: list[set[int]] = []
+        self.blocks: list[np.ndarray] = []
+        self.top: list[int] = []
+        self.owner = [-1] * n
+        self.root = [-1] * n
         disc = [-1] * n
         low = [0] * n
         clock = 0
-        for root in range(n):
-            if disc[root] >= 0:
+        for start in range(n):
+            if disc[start] >= 0:
                 continue
-            disc[root] = low[root] = clock
+            disc[start] = low[start] = clock
             clock += 1
-            if not adj[root]:
-                blocks.append({root})
-                continue
-            stack = [(root, -1, iter(adj[root]))]
-            edges: list[tuple[int, int]] = []
+            self.root[start] = start
+            stack = [(start, -1, iter(adj[start]))]
+            found: list[int] = []  # the vertices reached, in DFS order, not yet in a block
             while stack:
                 u, parent, todo = stack[-1]
                 for w in todo:
                     if disc[w] < 0:
                         disc[w] = low[w] = clock
                         clock += 1
-                        edges.append((u, w))
+                        self.root[w] = start
+                        found.append(w)
                         stack.append((w, u, iter(adj[w])))
                         break
-                    if w != parent and disc[w] < disc[u]:
-                        edges.append((u, w))
+                    if w != parent:
                         low[u] = min(low[u], disc[w])
                 else:
                     stack.pop()
                     if stack:
                         p = stack[-1][0]
                         low[p] = min(low[p], low[u])
-                        if low[u] >= disc[p]:
-                            block: set[int] = set()
-                            while True:
-                                e = edges.pop()
-                                block.update(e)
-                                if e == (p, u):
-                                    break
-                            blocks.append(block)
-        member: list[list[int]] = [[] for _ in range(n)]
-        for b, block in enumerate(blocks):
-            for v in block:
-                member[v].append(b)
-        nodes = len(blocks)
-        self.node_of = [0] * n
-        tree: list[list[int]] = [[] for _ in blocks]
-        for v in range(n):
-            if len(member[v]) > 1:
-                self.node_of[v] = nodes
-                tree.append(member[v])
-                for b in member[v]:
-                    tree[b].append(nodes)
-                nodes += 1
-            else:
-                self.node_of[v] = member[v][0]
-        self.blocks = [np.fromiter(sorted(b), dtype=np.intp, count=len(b)) for b in blocks]
-        self.parent = [-1] * nodes
-        self.depth = [-1] * nodes
-        self.component = [-1] * nodes
-        for start in range(nodes):
-            if self.depth[start] >= 0:
-                continue
-            self.depth[start] = 0
-            self.component[start] = start
-            queue = deque([start])
-            while queue:
-                a = queue.popleft()
-                for b in tree[a]:
-                    if self.depth[b] < 0:
-                        self.depth[b] = self.depth[a] + 1
-                        self.parent[b] = a
-                        self.component[b] = start
-                        queue.append(b)
-        self.size = n
+                        if low[u] >= disc[p]:  # u's subtree, less the blocks below it, is a block under p
+                            block = [p]
+                            while block[-1] != u:
+                                block.append(found.pop())
+                                self.owner[block[-1]] = len(self.blocks)
+                            self.blocks.append(np.array(block, dtype=np.intp))
+                            self.top.append(p)
 
     def route(self, x: int, y: int) -> np.ndarray:
         """Mask of the vertices lying on some simple path between vertices
-        ``x`` and ``y``: none when they are in different components."""
-        a, b = self.node_of[x], self.node_of[y]
-        mask = np.zeros(self.size, dtype=bool)
-        if self.component[a] != self.component[b]:
+        ``x != y``: none when they are in different components.
+
+        Both ends climb from vertex to the block above it and on to its top,
+        the side whose block has the smaller index first (a root's -1 is
+        above every block), so neither side climbs past where the tree paths
+        meet: at one block, which is on the route, or at one vertex, whose
+        block above is not.
+        """
+        mask = np.zeros(len(self.root), dtype=bool)
+        if self.root[x] != self.root[y]:
             return mask
-        on_route = []
-        while a != b:
-            if self.depth[a] < self.depth[b]:
-                a, b = b, a
+        owner, top, on_route = self.owner, self.top, []
+        a, b = owner[x], owner[y]
+        while x != y and a != b:
+            if b < 0 or 0 <= a < b:
+                x, y, a, b = y, x, b, a
+            on_route.append(b)
+            y = top[b]
+            b = owner[y]
+        if x != y:
             on_route.append(a)
-            a = self.parent[a]
-        on_route.append(a)
-        mask[np.concatenate([self.blocks[node] for node in on_route if node < len(self.blocks)])] = True
+        mask[np.concatenate([self.blocks[c] for c in on_route])] = True
         return mask
 
 

@@ -286,6 +286,13 @@ def det_product(factors: Sequence[tuple], dets: Sequence | None = None) -> float
         return float(sign * np.exp(log))
 
 
+def _require_unique(labels: tuple[str, ...]) -> None:
+    """Raise InvalidMatrixError naming the first label of ``labels`` that repeats an earlier one."""
+    if len(set(labels)) < len(labels):
+        repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise InvalidMatrixError(f"label {repeated!r} is repeated")
+
+
 class SymMatrix:
     """Symmetric real matrix with vertex-label indexing.
 
@@ -352,8 +359,10 @@ class SymMatrix:
         return label in self._pos
 
     def positions(self, labels: Iterable[str]) -> list[int]:
-        """Positions of ``labels``, sorted into parent storage order."""
+        """Positions of ``labels``, sorted into parent storage order; a
+        repeated label is an InvalidMatrixError."""
         labels = tuple(labels)
+        _require_unique(labels)
         missing = [lab for lab in labels if lab not in self._pos]
         if missing:
             raise UnknownVertexError(missing)
@@ -375,9 +384,7 @@ class SymMatrix:
     def reindexed(self, labels: Sequence[str]) -> "SymMatrix":
         """The same matrix with rows and columns permuted into ``labels`` order."""
         labels = tuple(labels)
-        if len(set(labels)) < len(labels):
-            repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-            raise InvalidMatrixError(f"label {repeated!r} is repeated")
+        _require_unique(labels)
         if set(labels) != set(self.labels):
             raise UnknownVertexError(sorted(set(labels) ^ set(self.labels)))
         if labels == self.labels:

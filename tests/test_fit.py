@@ -219,6 +219,17 @@ def test_even_negative_cycle_is_signable():
         assert flipped >= -1e-10
 
 
+def test_a_zero_edge_imposes_no_sign_constraint():
+    # taken as negative, the 0 edge would close an odd negative triangle
+    g = Graph(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
+    m = Model.from_partial_correlations(g, {("1", "2"): 0.3, ("1", "3"): 0.3, ("2", "3"): 0.0})
+    assignment = mtp2_sign_search(m)
+    assert assignment is not None and assignment.is_identity
+    m = Model.from_partial_correlations(g, {("1", "2"): 0.3, ("1", "3"): 0.3, ("2", "3"): -1e-3})
+    assert mtp2_sign_search(m, tol=1e-2) is not None
+    assert mtp2_sign_search(m, tol=1e-4) is None
+
+
 def test_sign_search_agrees_with_brute_force():
     rng = np.random.default_rng(411)
     for _ in range(30):

@@ -21,6 +21,11 @@ def test_unknown_vertex_is_an_unknown_vertex_error(path_abc, query):
         query(path_abc)
 
 
+def test_a_repeated_vertex_label_is_rejected():
+    with pytest.raises(ValueError, match="vertex labels must be unique"):
+        Graph(["a", "b", "a"], [("a", "b")])
+
+
 def test_enumeration_endpoints_must_differ(path_abc):
     with pytest.raises(ValueError, match="path endpoints must differ"):
         enumerate_paths(path_abc, "a", "a")

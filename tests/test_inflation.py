@@ -57,6 +57,11 @@ def test_overlapping_blocks_rejected(triangle):
         inflation_factor(triangle, ["1", "2"], ["2", "3"])
 
 
+def test_identities_of_overlapping_blocks_are_rejected(triangle):
+    with pytest.raises(ValueError, match="disjoint; both contain \\['2'\\]"):
+        inflation_factor_identities(triangle, ["1", "2"], ["2", "3"])
+
+
 def test_at_least_one(triangle):
     rng = np.random.default_rng(3)
     for _ in range(30):

@@ -307,6 +307,12 @@ def test_pcor_rejects_out_of_range_and_non_edges():
                                         {("1", "2"): 0.2, ("1", "3"): 0.1})
 
 
+def test_pcor_rejects_an_edge_given_in_both_orientations():
+    g = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    with pytest.raises(ValueError, match="duplicate partial correlation for edge '2'--'1'"):
+        Model.from_partial_correlations(g, {("1", "2"): 0.2, ("2", "3"): 0.1, ("2", "1"): 0.2})
+
+
 def test_pcor_rejects_non_pd():
     # triangle with all partial correlations 0.9: I - R is indefinite
     g = Graph(["1", "2", "3"], [("1", "2"), ("1", "3"), ("2", "3")])
@@ -407,6 +413,17 @@ def test_magnitude_monotone_under_marginalization():
 
 
 # -- conditional matrices -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.edge_partial_correlation("1", "3"),
+    lambda m: m.conditional_inflated_correlation([]),
+], ids=["pcor-of-a-non-edge", "empty-conditioning-set"])
+def test_model_reads_reject_a_non_edge_and_an_empty_set(call):
+    m = Model.from_partial_correlations(Graph(["1", "2", "3"], [("1", "2"), ("2", "3")]),
+                                        {("1", "2"): 0.2, ("2", "3"): 0.1})
+    with pytest.raises(ValueError, match="not an edge|nonempty"):
+        call(m)
 
 
 def test_conditional_inflated_full_and_singleton(triangle):

@@ -75,6 +75,29 @@ def test_allpairs_decompose_on_a_shared_model_equals_fresh_models(i):
                             == outcome(fresh(m), x, y, kind=kind, restrict=a, cap=cap))
 
 
+def block_on_a_tree(rng: np.random.Generator) -> Graph:
+    """70 vertices: a random 61-vertex tree, and at its vertex 60 a 10-vertex
+    block (a cycle with chords), the vertex indices shuffled across the labels."""
+    names = [vertex_names(70)[i] for i in rng.permutation(70)]
+    edges = {(names[int(rng.integers(0, i))], names[i]) for i in range(1, 61)}
+    block = names[60:]
+    edges |= set(zip(block, block[1:] + block[:1]))
+    edges |= {(u, v) for u, v in combinations(block, 2) if rng.random() < 0.4}
+    return Graph(vertex_names(70), edges)
+
+
+def test_allpairs_decompose_over_two_key_words_on_a_shared_model_equals_fresh_models():
+    # past 64 vertices a vertex set takes two words, so the slot's kernel call
+    # keys its rows by (target, vertex set) in stacked columns
+    m = random_model(np.random.default_rng(65), 70, 0.0, graph=block_on_a_tree(np.random.default_rng(65)))
+    shared, words = fresh(m), set()
+    for x, y in combinations(m.vertices, 2):
+        assert outcome(shared, x, y) == outcome(fresh(m), x, y)
+        if shared._walks[1]:  # a source walk served this call
+            words.add(shared._walks[1][0].keys.shape[1])
+    assert words == {2}
+
+
 def test_each_source_is_walked_once_after_its_first_pair(monkeypatch):
     names = vertex_names(7)  # K7: every pair's route is the whole graph
     m = random_model(np.random.default_rng(9), 7, 0.0, graph=Graph(names, combinations(names, 2)))

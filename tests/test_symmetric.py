@@ -493,3 +493,17 @@ def test_reindexed_names_a_repeated_label():
     with pytest.raises(UnknownVertexError) as info:
         m.reindexed(["a", "c"])
     assert info.value.missing == ("b", "c")
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, labels: m.det(labels),
+    lambda m, labels: m.submatrix(labels),
+    lambda m, labels: m.schur_complement(labels, ["c"]),
+    lambda m, labels: m.schur_complement(["c"], labels),
+], ids=["det", "submatrix", "schur-a", "schur-b"])
+def test_a_repeated_label_is_rejected_by_every_block_read(call):
+    m = SymMatrix(["a", "b", "c"], [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    for labels, repeated in ((["a", "a"], "a"), (["b", "a", "b"], "b"), (["a", "b", "a", "b"], "a")):
+        with pytest.raises(InvalidMatrixError, match=f"label '{repeated}' is repeated"):
+            call(m, labels)
+    assert m.det(["a"]) == 2.0

@@ -144,6 +144,12 @@ def test_inflated_weight_is_weight_of_inflated_matrix():
     assert weight(m, p, Measure.INFLATED_CORRELATION) == pytest.approx(weight(direct, p), rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["cov", None, 1.0])
+def test_an_unsupported_kind_is_a_type_error(triangle, kind):
+    with pytest.raises(TypeError, match="unsupported measure kind"):
+        weight(triangle, Path(("1", "2", "3")), kind=kind)
+
+
 def test_custom_scaling_requires_full_coverage(triangle):
     p, partial = Path(("1", "2")), CustomScaling({"1": 1.0, "2": 1.0})
     for call in (
